@@ -161,13 +161,20 @@ def verify_chain(chain_der: list[bytes], roots_der: list[bytes],
         _basic_ca_check(issuer)
         _verify_issued_by(cert, issuer)
 
+    # several trusted roots may share a name; any one that signed the last
+    # link terminates the chain
     last = chain[-1]
+    failure = CertificateError("chain does not terminate at a trusted root")
     for root in roots:
         if last.issuer == root.subject:
-            _basic_ca_check(root)
-            _verify_issued_by(last, root)
+            try:
+                _basic_ca_check(root)
+                _verify_issued_by(last, root)
+            except CertificateError as exc:
+                failure = exc
+                continue
             return chain[0]
-    raise CertificateError("chain does not terminate at a trusted root")
+    raise failure
 
 
 def _basic_ca_check(cert: x509.Certificate) -> None:
@@ -179,22 +186,28 @@ def _basic_ca_check(cert: x509.Certificate) -> None:
         raise CertificateError(f"issuing certificate is not a CA: {cert.subject}")
 
 
+def leaf_key(leaf: x509.Certificate) -> tuple[SignatureSuite, bytes]:
+    """Signature suite implied by a parsed leaf's key type, and the key in
+    the suite's wire form."""
+    pub = leaf.public_key()
+    if isinstance(pub, ed25519.Ed25519PublicKey):
+        suite = SignatureSuite.ED25519
+    elif isinstance(pub, ec.EllipticCurvePublicKey):
+        suite = SignatureSuite.ECDSA_SECP256R1_SHA256
+    elif isinstance(pub, rsa.RSAPublicKey):
+        suite = SignatureSuite.RSA_PSS_RSAE_SHA256
+    else:
+        raise CertificateError(f"unsupported leaf key type {type(pub).__name__}")
+    return suite, encode_public_key(suite, pub)
+
+
 def leaf_suite(leaf_der: bytes) -> SignatureSuite:
     """Signature suite implied by the leaf's key type."""
-    pub = x509.load_der_x509_certificate(leaf_der).public_key()
-    if isinstance(pub, ed25519.Ed25519PublicKey):
-        return SignatureSuite.ED25519
-    if isinstance(pub, ec.EllipticCurvePublicKey):
-        return SignatureSuite.ECDSA_SECP256R1_SHA256
-    if isinstance(pub, rsa.RSAPublicKey):
-        return SignatureSuite.RSA_PSS_RSAE_SHA256
-    raise CertificateError(f"unsupported leaf key type {type(pub).__name__}")
+    return leaf_key(x509.load_der_x509_certificate(leaf_der))[0]
 
 
 def leaf_public_key_bytes(leaf_der: bytes) -> bytes:
-    suite = leaf_suite(leaf_der)
-    pub = x509.load_der_x509_certificate(leaf_der).public_key()
-    return encode_public_key(suite, pub)
+    return leaf_key(x509.load_der_x509_certificate(leaf_der))[1]
 
 
 def leaf_subject(leaf_der: bytes) -> str:

@@ -14,6 +14,7 @@ Key exchange is x25519; the mandatory record suite is TLS_AES_256_GCM_SHA384.
 from __future__ import annotations
 
 import enum
+import functools
 import hashlib
 import hmac as hmac_mod
 import os
@@ -170,6 +171,10 @@ class KeyPair:
 
     `secret_key` is PKCS8 DER. `public_key` is the suite wire form: raw 32
     bytes for ed25519, SEC1 compressed point for ECDSA, SPKI DER for RSA.
+
+    A key pair stays plain bytes so that configs holding it pickle across
+    process boundaries; `sign` decodes each secret once per process and
+    keeps the decoded key in a bounded cache.
     """
 
     suite: SignatureSuite
@@ -241,8 +246,18 @@ _PSS_PADDING = padding.PSS(mgf=padding.MGF1(hashes.SHA256()),
                            salt_length=hashes.SHA256.digest_size)
 
 
+# Decoded signing keys kept per process; one entry per (suite, PKCS8 bytes).
+SECRET_KEY_CACHE_SIZE = 256
+
+
+@functools.lru_cache(maxsize=SECRET_KEY_CACHE_SIZE)
+def _decoded_secret_key(suite: SignatureSuite, data: bytes):
+    # a failed decode raises, and lru_cache stores no entry for it
+    return load_secret_key(suite, data)
+
+
 def sign(suite: SignatureSuite, secret_key: bytes, content: bytes) -> bytes:
-    key = load_secret_key(suite, secret_key)
+    key = _decoded_secret_key(suite, secret_key)
     if suite is SignatureSuite.ED25519:
         return key.sign(content)
     if suite is SignatureSuite.ECDSA_SECP256R1_SHA256:

@@ -391,8 +391,7 @@ class _Endpoint:
         try:
             with _timed(self.timers, "chain_verify"):
                 leaf = certs.verify_chain(msg.chain, list(self.config.x509_roots))
-                suite = certs.leaf_suite(msg.chain[0])
-                public_key = certs.leaf_public_key_bytes(msg.chain[0])
+                suite, public_key = certs.leaf_key(leaf)
         except certs.CertificateError as exc:
             self.abort(BadIdentity(str(exc)))
         peer = PeerIdentity(kind="x509", x509_subject=leaf.subject.rfc4514_string())
@@ -858,7 +857,9 @@ def handshake_pair(client_config: EndpointConfig, server_config: EndpointConfig,
 class HandshakeServer:
     """Threaded TCP acceptor running one server handshake per connection.
 
-    The default handler echoes application data until the peer closes.
+    The default handler echoes application data until the peer closes. Only
+    live connection threads are kept: finished ones are dropped on each
+    accept, and `stop` joins the rest.
     """
 
     def __init__(self, config: EndpointConfig | Callable[[], EndpointConfig],
@@ -874,7 +875,7 @@ class HandshakeServer:
         self._listener.settimeout(0.2)
         self.address = self._listener.getsockname()
         self._stop = threading.Event()
-        self._threads: list[threading.Thread] = []
+        self._threads: list[threading.Thread] = []  # touched by the acceptor only, until stop
         self._conn_timeout = conn_timeout
         self.errors: list[BaseException] = []
         self._accept_thread = threading.Thread(target=self._accept_loop, daemon=True)
@@ -909,6 +910,7 @@ class HandshakeServer:
             conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             t = threading.Thread(target=self._serve_one, args=(conn,), daemon=True)
             t.start()
+            self._threads = [x for x in self._threads if x.is_alive()]
             self._threads.append(t)
 
     def _serve_one(self, conn: socket.socket) -> None:

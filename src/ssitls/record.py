@@ -63,11 +63,14 @@ def memory_pipe() -> tuple[socket.socket, socket.socket]:
 
 
 class _DirectionState:
-    __slots__ = ("cipher", "key", "iv", "seq")
+    """One direction's traffic keys; the AEAD is built once per installed
+    key and reused for every record."""
+
+    __slots__ = ("aead", "iv", "seq")
 
     def __init__(self, cipher: CipherSuite, secret: bytes):
-        self.cipher = cipher
-        self.key, self.iv = traffic_keys(cipher, secret)
+        key, self.iv = traffic_keys(cipher, secret)
+        self.aead = aead(cipher, key)
         self.seq = 0
 
     def nonce(self) -> bytes:
@@ -111,8 +114,7 @@ class RecordLayer:
             return
         inner = fragment + bytes([content_type])
         header = _HEADER.pack(int(ContentType.APPLICATION_DATA), 0x0303, len(inner) + 16)
-        ct = aead(self._write.cipher, self._write.key).encrypt(
-            self._write.nonce(), inner, header)
+        ct = self._write.aead.encrypt(self._write.nonce(), inner, header)
         self._write.seq += 1
         self.transport.sendall(header + ct)
 
@@ -152,8 +154,7 @@ class RecordLayer:
                 return content_type, body  # peer may alert in the clear
             raise RecordError(f"unprotected record type {content_type} after key change")
         try:
-            inner = aead(self._read.cipher, self._read.key).decrypt(
-                self._read.nonce(), body, header)
+            inner = self._read.aead.decrypt(self._read.nonce(), body, header)
         except Exception as exc:
             raise RecordError("record authentication failed") from exc
         self._read.seq += 1

@@ -55,3 +55,15 @@ def test_shuffled_chain_rejected():
                                 "node.example", RNG)
     with pytest.raises(CertificateError):
         verify_chain(list(identity.chain[::-1]), [root])
+
+
+def test_same_name_trusted_roots_each_tried():
+    first, first_root = make_chain(SignatureSuite.ED25519, "twin.example", RNG)
+    second, second_root = make_chain(SignatureSuite.ED25519, "twin.example", RNG)
+    stranger, _ = make_chain(SignatureSuite.ED25519, "twin.example", RNG)
+    roots = [first_root, second_root]
+    assert "twin.example" in verify_chain(list(first.chain), roots).subject.rfc4514_string()
+    assert "twin.example" in verify_chain(list(second.chain), roots).subject.rfc4514_string()
+    # an untrusted root of the same name signed this chain: still rejected
+    with pytest.raises(CertificateError):
+        verify_chain(list(stranger.chain), roots)

@@ -4,6 +4,8 @@ signed-content construction."""
 
 import hmac
 import random
+import sys
+import threading
 
 import pytest
 
@@ -160,6 +162,80 @@ def test_ecdsa_deterministic_nonces():
     keys = generate_keypair(SignatureSuite.ECDSA_SECP256R1_SHA256, DeterministicRng(2))
     assert (sign(keys.suite, keys.secret_key, b"same message")
             == sign(keys.suite, keys.secret_key, b"same message"))
+
+
+# ---------------------------------------------------------------------------
+# Decoded signing keys: one decode per key and process
+# ---------------------------------------------------------------------------
+
+@pytest.fixture()
+def secret_key_loads(monkeypatch) -> list[bytes]:
+    """PKCS8 bytes of every decode `sign` asks `load_secret_key` for."""
+    loads = []
+    original = crypto.load_secret_key
+
+    def counting(suite, data):
+        loads.append(data)
+        return original(suite, data)
+
+    monkeypatch.setattr(crypto, "load_secret_key", counting)
+    return loads
+
+
+@pytest.mark.parametrize("suite", list(SignatureSuite))
+def test_sign_decodes_each_secret_once(suite, secret_key_loads):
+    keys = generate_keypair(suite, DeterministicRng(b"once-" + suite.value.encode()))
+    for i in range(5):
+        msg = b"message %d" % i
+        assert verify(suite, keys.public_key, msg, sign(suite, keys.secret_key, msg))
+    assert secret_key_loads == [keys.secret_key]
+
+
+def test_undecodable_secret_fails_on_every_call(secret_key_loads):
+    for _ in range(3):
+        with pytest.raises(KeyDecodeError):
+            sign(SignatureSuite.ED25519, b"\x30\x03not pkcs8", b"msg")
+    assert len(secret_key_loads) == 3  # failures are not cached
+
+
+@pytest.mark.parametrize("suite", list(SignatureSuite))
+def test_cached_keys_of_one_suite_never_cross(suite):
+    rng = DeterministicRng(b"cross-" + suite.value.encode())
+    a, b = generate_keypair(suite, rng), generate_keypair(suite, rng)
+    for _ in range(2):  # second round signs with cached keys
+        sig_a = sign(suite, a.secret_key, b"content")
+        sig_b = sign(suite, b.secret_key, b"content")
+        assert verify(suite, a.public_key, b"content", sig_a)
+        assert verify(suite, b.public_key, b"content", sig_b)
+        assert not verify(suite, a.public_key, b"content", sig_b)
+        assert not verify(suite, b.public_key, b"content", sig_a)
+
+
+def test_cached_keys_shared_across_threads():
+    rng = DeterministicRng(b"threads")
+    pairs = [generate_keypair(SignatureSuite.ED25519, rng) for _ in range(3)]
+    bad = []
+
+    def worker(n):
+        keys = pairs[n % len(pairs)]
+        for i in range(50):
+            msg = b"%d/%d" % (n, i)
+            if not verify(keys.suite, keys.public_key, msg,
+                          sign(keys.suite, keys.secret_key, msg)):
+                bad.append(msg)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker, args=(n,)) for n in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not bad
 
 
 # ---------------------------------------------------------------------------

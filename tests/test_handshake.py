@@ -4,12 +4,16 @@ authentication check under targeted tampering."""
 
 import dataclasses
 import datetime
+import pickle
+import socket
 import threading
+import time
 
 import pytest
 
 from ssitls import handshake
-from ssitls.crypto import SignatureSuite, generate_keypair
+from ssitls.certs import make_chain
+from ssitls.crypto import DeterministicRng, SignatureSuite, generate_keypair
 from ssitls.handshake import (
     BadIdentity,
     BadSignature,
@@ -28,7 +32,9 @@ from ssitls.handshake import (
     run_server,
 )
 from ssitls.identity import Did, did_deactivate, did_update, vc_issue
+from ssitls.ledger import LedgerClient, LedgerNode, LedgerStore
 from ssitls.messages import AuthnMode, HandshakeType, SsiParameters
+from ssitls.provision import build_universe
 from ssitls.record import PeerAlert, RecordError, memory_pipe
 
 
@@ -465,3 +471,63 @@ def test_client_requires_ssi_identity_for_ssi_modes(ed_universe):
     config.ssi_identity = None
     with pytest.raises(handshake.ConfigError):
         run_client(config, None)
+
+
+# ---------------------------------------------------------------------------
+# Process boundaries, record keys and the threaded acceptor
+# ---------------------------------------------------------------------------
+
+def test_used_server_config_pickles_and_still_handshakes():
+    """Configs cross process boundaries (a server in a child process): one
+    that has already signed survives pickling, and its copy signs again."""
+    rng = DeterministicRng(b"pickle")
+    store = LedgerStore()
+    node_identity, node_root = make_chain(SignatureSuite.ECDSA_SECP256R1_SHA256,
+                                          "ledger.node", rng)
+    with LedgerNode(store, node_identity) as node:
+        u = build_universe(SignatureSuite.ED25519, store=store,
+                           ledger=LedgerClient(*node.address, trust_anchor=node_root),
+                           rng=rng)
+        server_config = u.server_config(request_client_auth=True)
+        client_config = u.client_config(Mode.DID)
+        assert_flow(*pair_results(client_config, server_config), Flow.SSI_DID)
+        copy = pickle.loads(pickle.dumps(server_config))
+        assert_flow(*pair_results(client_config, copy), Flow.SSI_DID)
+
+
+def test_records_reuse_the_aead_of_their_key(ed_universe, monkeypatch):
+    from ssitls import record
+    built = []
+    original = record.aead
+
+    def counting(cipher, key):
+        built.append(key)
+        return original(cipher, key)
+
+    monkeypatch.setattr(record, "aead", counting)
+    u = ed_universe
+    client, server = handshake_pair(u.client_config(Mode.X509), u.server_config())
+    after_handshake = len(built)
+    for i in range(20):
+        client.session.send(b"record %d" % i)
+        assert server.session.recv() == b"record %d" % i
+    assert after_handshake == 8  # handshake and application keys, two directions, two sides
+    assert len(built) == after_handshake
+
+
+def test_server_keeps_only_live_connection_threads(ed_universe):
+    u = ed_universe
+    server = handshake.HandshakeServer(u.server_config()).start()
+    try:
+        for i in range(50):
+            with socket.create_connection(server.address, timeout=10) as sock:
+                outcome = run_client(u.client_config(Mode.X509), sock)
+                assert outcome.flow is Flow.ORIGINAL
+                outcome.session.send(b"ping %d" % i)
+                assert outcome.session.recv() == b"ping %d" % i
+        assert len(server._threads) <= 5
+    finally:
+        start = time.monotonic()
+        server.stop()
+    assert time.monotonic() - start < 2.0
+    assert not server.errors
