@@ -208,7 +208,3 @@ def leaf_suite(leaf_der: bytes) -> SignatureSuite:
 
 def leaf_public_key_bytes(leaf_der: bytes) -> bytes:
     return leaf_key(x509.load_der_x509_certificate(leaf_der))[1]
-
-
-def leaf_subject(leaf_der: bytes) -> str:
-    return x509.load_der_x509_certificate(leaf_der).subject.rfc4514_string()

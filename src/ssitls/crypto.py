@@ -74,12 +74,6 @@ class SignatureSuite(enum.Enum):
         """
         return _NOMINAL_SIG[self]
 
-    @property
-    def max_signature_len(self) -> int:
-        return {SignatureSuite.ECDSA_SECP256R1_SHA256: 72,
-                SignatureSuite.RSA_PSS_RSAE_SHA256: 256,
-                SignatureSuite.ED25519: 64}[self]
-
     @classmethod
     def from_scheme_code(cls, code: int) -> "SignatureSuite":
         for suite, c in _SCHEME_CODES.items():
@@ -180,9 +174,6 @@ class KeyPair:
     suite: SignatureSuite
     secret_key: bytes
     public_key: bytes
-
-    def public_only(self) -> "KeyPair":
-        return KeyPair(self.suite, b"", self.public_key)
 
 
 def generate_keypair(suite: SignatureSuite, rng: Rng = SYSTEM_RNG) -> KeyPair:
@@ -350,13 +341,6 @@ class CipherSuite(enum.Enum):
     def transcript_hash(self, data: bytes) -> bytes:
         return self.hash(data).digest()
 
-    @classmethod
-    def from_code(cls, code: int) -> "CipherSuite":
-        for suite in cls:
-            if suite.value == code:
-                return suite
-        raise CryptoError(f"unknown cipher suite 0x{code:04x}")
-
 
 MANDATORY_CIPHER_SUITE = CipherSuite.TLS_AES_256_GCM_SHA384
 
@@ -441,7 +425,7 @@ def traffic_keys(cipher: CipherSuite, secret: bytes) -> tuple[bytes, bytes]:
     return key, iv
 
 
-def aead(cipher: CipherSuite, key: bytes) -> AESGCM:
+def aead(key: bytes) -> AESGCM:
     return AESGCM(key)
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import datetime
 import enum
+import hmac
 import logging
 import socket
 import threading
@@ -21,6 +22,7 @@ from typing import Callable, Optional
 from . import certs, identity, messages
 from .crypto import (
     CipherSuite,
+    CryptoError,
     KeySchedule,
     MANDATORY_CIPHER_SUITE,
     Rng,
@@ -468,46 +470,42 @@ class _Endpoint:
             self.send_msg(DidMessage(ident.did.method.code, ident.did.text.encode()))
         self.send_msg(self.make_verify_message("did_verify", ident.keys))
 
-    def recv_peer_identity(self, kind: str, acceptable_methods: tuple[int, ...]) \
-            -> tuple[SignatureSuite, bytes, PeerIdentity, str]:
-        """Receive Certificate/VC/DID plus its Verify message; returns the
-        verified peer. `kind` is "x509" | "vc" | "did"."""
+    def recv_peer_identity(self, kind: str,
+                           acceptable_methods: tuple[int, ...]) -> PeerIdentity:
+        """Receive the peer's Certificate/VC/DID (`kind` is "x509" | "vc" |
+        "did") and verify it; returns the verified peer."""
         first = {"x509": HandshakeType.CERTIFICATE,
                  "vc": HandshakeType.VC,
                  "did": HandshakeType.DID}[kind]
-        msg = self.recv_msg(first)
-        if kind == "x509":
+        return self.verify_peer_identity(self.recv_msg(first), acceptable_methods)
+
+    def verify_peer_identity(self, msg, acceptable_methods: tuple[int, ...]) -> PeerIdentity:
+        """Verify a received Certificate, VC or DID message and the Verify
+        message that follows it; returns the verified peer."""
+        if isinstance(msg, Certificate):
             suite, public_key, peer = self.process_certificate(msg)
-            purpose = "certificate_verify"
-            verify_type = HandshakeType.CERTIFICATE_VERIFY
-        elif kind == "vc":
-            suite, public_key, peer = self.process_vc_message(msg, acceptable_methods)
-            purpose = "did_verify"
-            verify_type = HandshakeType.DID_VERIFY
+            purpose, verify_type = "certificate_verify", HandshakeType.CERTIFICATE_VERIFY
         else:
-            suite, public_key, peer = self.process_did_message(msg, acceptable_methods)
-            purpose = "did_verify"
-            verify_type = HandshakeType.DID_VERIFY
+            if isinstance(msg, VcMessage):
+                suite, public_key, peer = self.process_vc_message(msg, acceptable_methods)
+            else:
+                suite, public_key, peer = self.process_did_message(msg, acceptable_methods)
+            purpose, verify_type = "did_verify", HandshakeType.DID_VERIFY
         th_before = self.transcript_hash()
         verify_msg = self.recv_msg(verify_type)
         self.check_verify_message(verify_msg, purpose, suite, public_key, th_before)
-        return suite, public_key, peer, purpose
+        return peer
 
     def check_finished(self, secret: bytes) -> None:
         th_before = self.transcript_hash()
         msg = self.recv_msg(HandshakeType.FINISHED)
         expected = finished_mac(self.cipher, secret, th_before)
-        if not _constant_time_eq(expected, msg.verify_data):
+        if not hmac.compare_digest(expected, msg.verify_data):
             self.abort(FinishedMismatch())
 
     def send_finished(self, secret: bytes) -> None:
         mac = finished_mac(self.cipher, secret, self.transcript_hash())
         self.send_msg(Finished(mac))
-
-
-def _constant_time_eq(a: bytes, b: bytes) -> bool:
-    import hmac
-    return hmac.compare_digest(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -595,30 +593,9 @@ class _Client(_Endpoint):
             else:
                 msg = self.recv_msg(HandshakeType.DID)
 
-        # server identity
-        if isinstance(msg, Certificate):
-            server_auth = "x509"
-            suite, public_key, peer = self.process_certificate(msg)
-            th_before = self.transcript_hash()
-            verify_msg = self.recv_msg(HandshakeType.CERTIFICATE_VERIFY)
-            self.check_verify_message(verify_msg, "certificate_verify", suite,
-                                      public_key, th_before)
-        elif isinstance(msg, VcMessage):
-            server_auth = "vc"
-            suite, public_key, peer = self.process_vc_message(
-                msg, sent_params.did_methods)
-            th_before = self.transcript_hash()
-            verify_msg = self.recv_msg(HandshakeType.DID_VERIFY)
-            self.check_verify_message(verify_msg, "did_verify", suite,
-                                      public_key, th_before)
-        else:
-            server_auth = "did"
-            suite, public_key, peer = self.process_did_message(
-                msg, sent_params.did_methods)
-            th_before = self.transcript_hash()
-            verify_msg = self.recv_msg(HandshakeType.DID_VERIFY)
-            self.check_verify_message(verify_msg, "did_verify", suite,
-                                      public_key, th_before)
+        server_auth = {Certificate: "x509", VcMessage: "vc", DidMessage: "did"}[type(msg)]
+        peer = self.verify_peer_identity(
+            msg, sent_params.did_methods if sent_params is not None else ())
 
         self.check_finished(s_hs)
         c_ap, s_ap = schedule.app_traffic_secrets(self.transcript.all_bytes())
@@ -776,8 +753,8 @@ class _Server(_Endpoint):
         self.records.protect_writes(self.cipher, s_ap)
 
         if decision.client_auth is not None:
-            acceptable = decision.ssi_request_methods
-            _suite, _pk, peer, _ = self.recv_peer_identity(decision.client_auth, acceptable)
+            peer = self.recv_peer_identity(decision.client_auth,
+                                           decision.ssi_request_methods)
         else:
             peer = PeerIdentity.anonymous()
 
@@ -800,6 +777,16 @@ def _run_wrapped(endpoint: _Endpoint) -> HandshakeOutcome:
     except HandshakeAbort:
         raise  # alert already sent
     except (PeerAlert, RecordError, TransportClosed):
+        raise
+    except ConnectionError as exc:
+        # The peer may have aborted with an alert and closed while we were
+        # still writing: report its alert, not our failed write.
+        try:
+            endpoint.stream.next_handshake_raw()
+        except PeerAlert as alert:
+            raise alert from exc
+        except Exception:
+            pass
         raise
     except DecodeError as exc:
         endpoint.records.send_alert(AlertDescription.DECODE_ERROR)
@@ -854,79 +841,95 @@ def handshake_pair(client_config: EndpointConfig, server_config: EndpointConfig,
     return result["client"], result["server"]
 
 
-class HandshakeServer:
-    """Threaded TCP acceptor running one server handshake per connection.
+class TcpServer:
+    """Threaded TCP acceptor: each accepted connection gets its own thread,
+    which runs `serve_one` and then closes the connection.
 
-    The default handler echoes application data until the peer closes. Only
-    live connection threads are kept: finished ones are dropped on each
+    Only live connection threads are kept: finished ones are dropped on each
     accept, and `stop` joins the rest.
     """
 
-    def __init__(self, config: EndpointConfig | Callable[[], EndpointConfig],
-                 host: str = "127.0.0.1", port: int = 0,
-                 handler: Callable[[HandshakeOutcome], None] | None = None,
-                 conn_timeout: float = 30.0):
-        self._config = config
-        self._handler = handler or echo_handler
+    def __init__(self, host: str, port: int, backlog: int, conn_timeout: float):
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self._listener.bind((host, port))
-        self._listener.listen(64)
-        self._listener.settimeout(0.2)
+        self._listener.listen(backlog)
         self.address = self._listener.getsockname()
-        self._stop = threading.Event()
-        self._threads: list[threading.Thread] = []  # touched by the acceptor only, until stop
         self._conn_timeout = conn_timeout
-        self.errors: list[BaseException] = []
+        self._threads: list[threading.Thread] = []  # touched by the acceptor only, until stop
         self._accept_thread = threading.Thread(target=self._accept_loop, daemon=True)
 
-    def __enter__(self) -> "HandshakeServer":
-        self.start()
-        return self
+    def __enter__(self):
+        return self.start()
 
     def __exit__(self, *exc) -> None:
         self.stop()
 
-    def start(self) -> "HandshakeServer":
+    def start(self):
         self._accept_thread.start()
         return self
 
     def stop(self) -> None:
-        self._stop.set()
+        try:
+            # wakes the blocked accept(); close() alone leaves it blocked
+            self._listener.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
         self._accept_thread.join(timeout=5)
         self._listener.close()
         for t in self._threads:
             t.join(timeout=5)
 
+    def serve_one(self, conn: socket.socket) -> None:
+        """Serve one accepted connection; it is closed when this returns."""
+        raise NotImplementedError
+
     def _accept_loop(self) -> None:
-        while not self._stop.is_set():
+        while True:
             try:
                 conn, _addr = self._listener.accept()
-            except socket.timeout:
-                continue
             except OSError:
-                break
+                return
             conn.settimeout(self._conn_timeout)
             conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            t = threading.Thread(target=self._serve_one, args=(conn,), daemon=True)
+            t = threading.Thread(target=self._serve, args=(conn,), daemon=True)
             t.start()
             self._threads = [x for x in self._threads if x.is_alive()]
             self._threads.append(t)
 
-    def _serve_one(self, conn: socket.socket) -> None:
+    def _serve(self, conn: socket.socket) -> None:
         try:
-            config = self._config() if callable(self._config) else self._config
-            outcome = run_server(config, conn)
-            self._handler(outcome)
-        except (HandshakeAbort, PeerAlert, RecordError, TransportClosed,
-                ConfigError, OSError) as exc:
-            logger.debug("connection dropped: %s", exc)
-            self.errors.append(exc)
+            self.serve_one(conn)
         finally:
             try:
                 conn.close()
             except OSError:
                 pass
+
+
+class HandshakeServer(TcpServer):
+    """TCP server running one server handshake per connection. The default
+    handler echoes application data until the peer closes. `errors` keeps
+    every failed connection's exception."""
+
+    def __init__(self, config: EndpointConfig | Callable[[], EndpointConfig],
+                 host: str = "127.0.0.1", port: int = 0,
+                 handler: Callable[[HandshakeOutcome], None] | None = None,
+                 conn_timeout: float = 30.0):
+        super().__init__(host, port, backlog=64, conn_timeout=conn_timeout)
+        self._config = config
+        self._handler = handler or echo_handler
+        self.errors: list[BaseException] = []
+
+    def serve_one(self, conn: socket.socket) -> None:
+        try:
+            config = self._config() if callable(self._config) else self._config
+            outcome = run_server(config, conn)
+            self._handler(outcome)
+        except (HandshakeAbort, PeerAlert, RecordError, TransportClosed,
+                ConfigError, CryptoError, OSError) as exc:
+            logger.debug("connection dropped: %s", exc)
+            self.errors.append(exc)
 
 
 def echo_handler(outcome: HandshakeOutcome) -> None:

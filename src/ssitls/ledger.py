@@ -276,7 +276,7 @@ def session_frames(session: handshake.SecureSession) -> FrameIO:
 # Node (server)
 # ---------------------------------------------------------------------------
 
-class LedgerNode:
+class LedgerNode(handshake.TcpServer):
     """Single ledger node. Authenticated mode fronts every session with an
     X.509 original handshake; `insecure_plaintext=True` serves raw frames
     for attack demonstrations only."""
@@ -288,51 +288,15 @@ class LedgerNode:
                  conn_timeout: float = 30.0):
         if not insecure_plaintext and x509_identity is None:
             raise LedgerError("authenticated mode needs an X.509 identity")
+        super().__init__(host, port, backlog=128, conn_timeout=conn_timeout)
         self.store = store
         self.insecure_plaintext = insecure_plaintext
         self._identity = x509_identity
-        self._conn_timeout = conn_timeout
-        self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._listener.bind((host, port))
-        self._listener.listen(128)
-        self._listener.settimeout(0.2)
-        self.address = self._listener.getsockname()
-        self._stop = threading.Event()
-        self._accept_thread = threading.Thread(target=self._accept_loop, daemon=True)
         if insecure_plaintext:
             logger.warning("ledger node %s:%d serving PLAINTEXT frames;"
                            " resolution is forgeable in transit", *self.address)
 
-    def __enter__(self) -> "LedgerNode":
-        self.start()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
-
-    def start(self) -> "LedgerNode":
-        self._accept_thread.start()
-        return self
-
-    def stop(self) -> None:
-        self._stop.set()
-        self._accept_thread.join(timeout=5)
-        self._listener.close()
-
-    def _accept_loop(self) -> None:
-        while not self._stop.is_set():
-            try:
-                conn, _addr = self._listener.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                break
-            conn.settimeout(self._conn_timeout)
-            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            threading.Thread(target=self._serve_one, args=(conn,), daemon=True).start()
-
-    def _serve_one(self, conn: socket.socket) -> None:
+    def serve_one(self, conn: socket.socket) -> None:
         try:
             if self.insecure_plaintext:
                 frames = socket_frames(conn)
@@ -348,11 +312,6 @@ class LedgerNode:
         except (handshake.HandshakeAbort, PeerAlert, RecordError, TransportClosed,
                 LedgerError, OSError) as exc:
             logger.debug("ledger session dropped: %s", exc)
-        finally:
-            try:
-                conn.close()
-            except OSError:
-                pass
 
     def _handle(self, request: dict) -> dict:
         op = request.get("op")

@@ -526,9 +526,6 @@ class HandshakeTranscript:
     def append(self, sender: str, raw: bytes) -> None:
         self.entries.append(TranscriptEntry(sender, raw))
 
-    def raw_messages(self) -> list[bytes]:
-        return [e.raw for e in self.entries]
-
     def all_bytes(self) -> bytes:
         return b"".join(e.raw for e in self.entries)
 
@@ -585,7 +582,7 @@ def transcript_bytes_accounting(transcript: HandshakeTranscript, role: str) -> B
 # ---------------------------------------------------------------------------
 
 def dump(msg: HandshakeMessage) -> str:
-    """Stable one-message textual rendering for golden tests and --verbose."""
+    """Stable one-message textual rendering for golden tests."""
     lines = [type(msg).__name__]
     if isinstance(msg, (ClientHello, ServerHello)):
         lines.append(f"  random: {msg.random.hex()}")

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import logging
 import socket
-import threading
 from dataclasses import dataclass
 
 from . import handshake
@@ -30,7 +29,7 @@ def forge_document(victim_did: Did, attacker_keys: KeyPair) -> dict:
                             attacker_keys.public_key).to_json_dict()
 
 
-class ResolutionInterceptor:
+class ResolutionInterceptor(handshake.TcpServer):
     """TCP interposer on the resolver -> ledger-node path.
 
     In plaintext mode, frames are relayed with document payloads rewritten
@@ -44,41 +43,14 @@ class ResolutionInterceptor:
                  host: str = "127.0.0.1", port: int = 0):
         if not plaintext and attacker_x509 is None:
             raise ValueError("impersonating the node over TLS needs a certificate")
+        super().__init__(host, port, backlog=32, conn_timeout=10.0)
         self.upstream = upstream
         self.forged_document = forged_document
         self.plaintext = plaintext
         self.attacker_x509 = attacker_x509
-        self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._listener.bind((host, port))
-        self._listener.listen(32)
-        self._listener.settimeout(0.2)
-        self.address = self._listener.getsockname()
-        self._stop = threading.Event()
-        self._thread = threading.Thread(target=self._accept_loop, daemon=True)
         self.rewrites = 0
 
-    def __enter__(self) -> "ResolutionInterceptor":
-        self._thread.start()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self._stop.set()
-        self._thread.join(timeout=5)
-        self._listener.close()
-
-    def _accept_loop(self) -> None:
-        while not self._stop.is_set():
-            try:
-                conn, _addr = self._listener.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                break
-            conn.settimeout(10.0)
-            threading.Thread(target=self._serve_one, args=(conn,), daemon=True).start()
-
-    def _serve_one(self, conn: socket.socket) -> None:
+    def serve_one(self, conn: socket.socket) -> None:
         try:
             if self.plaintext:
                 self._relay_plaintext(conn)
@@ -86,11 +58,6 @@ class ResolutionInterceptor:
                 self._impersonate_node(conn)
         except Exception as exc:  # the victim aborting is a normal outcome
             logger.debug("interceptor session ended: %s", exc)
-        finally:
-            try:
-                conn.close()
-            except OSError:
-                pass
 
     def _relay_plaintext(self, conn: socket.socket) -> None:
         upstream = socket.create_connection(self.upstream, timeout=10.0)

@@ -51,12 +51,6 @@ class PeerAlert(Exception):
         self.description = description
 
 
-def connect_tcp(host: str, port: int, timeout: float | None = 10.0) -> socket.socket:
-    sock = socket.create_connection((host, port), timeout=timeout)
-    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-    return sock
-
-
 def memory_pipe() -> tuple[socket.socket, socket.socket]:
     """In-memory duplex byte stream for tests (a socketpair)."""
     return socket.socketpair()
@@ -70,7 +64,7 @@ class _DirectionState:
 
     def __init__(self, cipher: CipherSuite, secret: bytes):
         key, self.iv = traffic_keys(cipher, secret)
-        self.aead = aead(cipher, key)
+        self.aead = aead(key)
         self.seq = 0
 
     def nonce(self) -> bytes:
@@ -96,10 +90,6 @@ class RecordLayer:
 
     def protect_reads(self, cipher: CipherSuite, secret: bytes) -> None:
         self._read = _DirectionState(cipher, secret)
-
-    @property
-    def writes_protected(self) -> bool:
-        return self._write is not None
 
     # -- sending ------------------------------------------------------------
 

@@ -35,9 +35,6 @@ class Reader:
     def u24(self) -> int:
         return int.from_bytes(self.take(3), "big")
 
-    def u32(self) -> int:
-        return int.from_bytes(self.take(4), "big")
-
     def vector(self, length_bytes: int, min_len: int = 0) -> bytes:
         """Length-prefixed opaque vector; enforces the declared floor."""
         n = int.from_bytes(self.take(length_bytes), "big")
@@ -66,9 +63,6 @@ class Writer:
 
     def u24(self, v: int) -> "Writer":
         return self.raw(v.to_bytes(3, "big"))
-
-    def u32(self, v: int) -> "Writer":
-        return self.raw(v.to_bytes(4, "big"))
 
     def vector(self, length_bytes: int, data: bytes) -> "Writer":
         limit = 1 << (8 * length_bytes)

@@ -2,6 +2,7 @@
 key agreement and protected app data, and the soundness of every
 authentication check under targeted tampering."""
 
+import contextlib
 import dataclasses
 import datetime
 import pickle
@@ -13,7 +14,13 @@ import pytest
 
 from ssitls import handshake
 from ssitls.certs import make_chain
-from ssitls.crypto import DeterministicRng, SignatureSuite, generate_keypair
+from ssitls.crypto import (
+    MANDATORY_CIPHER_SUITE,
+    CryptoError,
+    DeterministicRng,
+    SignatureSuite,
+    generate_keypair,
+)
 from ssitls.handshake import (
     BadIdentity,
     BadSignature,
@@ -33,9 +40,28 @@ from ssitls.handshake import (
 )
 from ssitls.identity import Did, did_deactivate, did_update, vc_issue
 from ssitls.ledger import LedgerClient, LedgerNode, LedgerStore
-from ssitls.messages import AuthnMode, HandshakeType, SsiParameters
+from ssitls.messages import (
+    GROUP_X25519,
+    AuthnMode,
+    ClientHello,
+    ExtensionBlock,
+    ExtensionType,
+    HandshakeType,
+    SsiParameters,
+    encode,
+    encode_key_share_client,
+    encode_signature_algorithms,
+)
+from ssitls.mitm import ResolutionInterceptor
 from ssitls.provision import build_universe
-from ssitls.record import PeerAlert, RecordError, memory_pipe
+from ssitls.record import (
+    AlertDescription,
+    ContentType,
+    PeerAlert,
+    RecordError,
+    RecordLayer,
+    memory_pipe,
+)
 
 
 def pair_results(client_config, server_config, payload=b"across the channel"):
@@ -394,6 +420,48 @@ def test_revoked_server_did_aborts_both_modes(fresh_universe):
         assert isinstance(client, RevokedIdentity)
 
 
+def test_server_reports_the_alert_that_beats_its_write(fresh_universe):
+    """The client rejects the revoked server DID and closes while the server
+    is still writing its flight: the server must report the client's
+    certificate_revoked alert, not its own failed write."""
+    u = fresh_universe
+    did_deactivate(u.store, u.server_ssi.did, u.server_ssi.keys)
+    client_gone = threading.Event()
+
+    def hold_finished(msg_type, raw):
+        if msg_type == HandshakeType.FINISHED:
+            client_gone.wait(10)
+        return raw
+
+    with handshake.HandshakeServer(u.server_config(tamper=hold_finished)) as server:
+        with socket.create_connection(server.address, timeout=10) as sock:
+            with pytest.raises(RevokedIdentity):
+                run_client(u.client_config(Mode.DID), sock)
+        client_gone.set()
+    assert [(type(e).__name__, getattr(e, "description", None))
+            for e in server.errors] == [("PeerAlert", AlertDescription.CERTIFICATE_REVOKED)]
+
+
+def test_server_records_a_low_order_key_share(ed_universe):
+    zero_share = encode_key_share_client([(GROUP_X25519, bytes(32))])
+    hello = ClientHello(bytes(32), bytes(32), (MANDATORY_CIPHER_SUITE.code,),
+                        ExtensionBlock((
+                            (int(ExtensionType.SUPPORTED_VERSIONS), b"\x02\x03\x04"),
+                            (int(ExtensionType.SUPPORTED_GROUPS), b"\x00\x02\x00\x1d"),
+                            (int(ExtensionType.SIGNATURE_ALGORITHMS),
+                             encode_signature_algorithms(tuple(SignatureSuite))),
+                            (int(ExtensionType.KEY_SHARE), zero_share),
+                        )))
+    with handshake.HandshakeServer(ed_universe.server_config()) as server:
+        with socket.create_connection(server.address, timeout=10) as sock:
+            records = RecordLayer(sock)
+            records.send(ContentType.HANDSHAKE, encode(hello))
+            content_type, _alert = records.recv()
+            assert content_type == ContentType.ALERT
+    assert len(server.errors) == 1
+    assert isinstance(server.errors[0], CryptoError)
+
+
 def test_revoked_client_did_aborts_mutual(fresh_universe):
     u = fresh_universe
     did_deactivate(u.store, u.client_ssi.did, u.client_ssi.keys)
@@ -500,9 +568,9 @@ def test_records_reuse_the_aead_of_their_key(ed_universe, monkeypatch):
     built = []
     original = record.aead
 
-    def counting(cipher, key):
+    def counting(key):
         built.append(key)
-        return original(cipher, key)
+        return original(key)
 
     monkeypatch.setattr(record, "aead", counting)
     u = ed_universe
@@ -515,19 +583,54 @@ def test_records_reuse_the_aead_of_their_key(ed_universe, monkeypatch):
     assert len(built) == after_handshake
 
 
-def test_server_keeps_only_live_connection_threads(ed_universe):
-    u = ed_universe
-    server = handshake.HandshakeServer(u.server_config()).start()
-    try:
-        for i in range(50):
-            with socket.create_connection(server.address, timeout=10) as sock:
-                outcome = run_client(u.client_config(Mode.X509), sock)
-                assert outcome.flow is Flow.ORIGINAL
-                outcome.session.send(b"ping %d" % i)
-                assert outcome.session.recv() == b"ping %d" % i
-        assert len(server._threads) <= 5
-    finally:
-        start = time.monotonic()
-        server.stop()
-    assert time.monotonic() - start < 2.0
-    assert not server.errors
+def _handshake_acceptor(u, _stack):
+    server = handshake.HandshakeServer(u.server_config())
+
+    def exchange(i):
+        with socket.create_connection(server.address, timeout=10) as sock:
+            outcome = run_client(u.client_config(Mode.X509), sock)
+            assert outcome.flow is Flow.ORIGINAL
+            outcome.session.send(b"ping %d" % i)
+            assert outcome.session.recv() == b"ping %d" % i
+    return server, exchange
+
+
+def _ledger_acceptor(u, _stack):
+    node_identity, node_root = make_chain(SignatureSuite.ED25519, "ledger.node")
+    node = LedgerNode(u.store, node_identity)
+    resolver = LedgerClient(*node.address, trust_anchor=node_root)
+    msid = u.server_ssi.did.method_specific_id
+
+    def exchange(_i):
+        assert resolver.get(msid).method_specific_id == msid
+    return node, exchange
+
+
+def _interceptor_acceptor(u, stack):
+    node = stack.enter_context(LedgerNode(u.store, insecure_plaintext=True))
+    forged = {"forged": True}
+    interceptor = ResolutionInterceptor(node.address, forged, plaintext=True)
+    resolver = LedgerClient(*interceptor.address, insecure_plaintext=True)
+    msid = u.server_ssi.did.method_specific_id
+
+    def exchange(_i):
+        assert resolver.get(msid).document == forged
+    return interceptor, exchange
+
+
+@pytest.mark.parametrize("acceptor", [_handshake_acceptor, _ledger_acceptor,
+                                      _interceptor_acceptor],
+                         ids=["HandshakeServer", "LedgerNode", "ResolutionInterceptor"])
+def test_server_keeps_only_live_connection_threads(acceptor, ed_universe):
+    with contextlib.ExitStack() as stack:
+        server, exchange = acceptor(ed_universe, stack)
+        server.start()
+        try:
+            for i in range(50):
+                exchange(i)
+            assert len(server._threads) <= 5
+        finally:
+            start = time.monotonic()
+            server.stop()
+        assert time.monotonic() - start < 0.5
+    assert not getattr(server, "errors", [])

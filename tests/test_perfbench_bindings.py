@@ -1,12 +1,17 @@
 """The benchmark's tracer wraps library functions by the names callers look
 them up by, and stops a traced run when one is missing. This checks the same
 names here, without installing any wrapper, so a library change that drops
-a traced binding fails the unit suite instead of the benchmark."""
+a traced binding fails the unit suite instead of the benchmark. It also runs
+the benchmark's self-test, so a library change that breaks one of the
+benchmark's output checks fails here too."""
 
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 
 
 def _tracing_module():
@@ -28,3 +33,9 @@ def test_traced_methods_are_defined_on_their_class():
     missing = [f"{cls.__qualname__}.{attr}" for _name, cls, attr in tracing.METHODS
                if attr not in cls.__dict__]
     assert not missing
+
+
+def test_benchmark_selftest_passes():
+    result = subprocess.run([sys.executable, str(PERFBENCH / "selftest.py")],
+                            capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stdout[-2000:] + result.stderr[-2000:]
