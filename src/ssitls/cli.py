@@ -14,6 +14,7 @@ import logging
 import os
 import socket
 import sys
+import time
 from pathlib import Path
 
 from cryptography.hazmat.primitives import serialization
@@ -300,12 +301,10 @@ def cmd_server(args) -> int:
         print(f"listening on {server.address[0]}:{server.address[1]}", flush=True)
         if args.once:
             while not results and not server.errors:
-                import time
                 time.sleep(0.05)
         else:
             try:
                 while True:
-                    import time
                     time.sleep(0.5)
             except KeyboardInterrupt:
                 pass
@@ -443,7 +442,6 @@ def cmd_ledger(args) -> int:
             print(f"ledger node on {node.address[0]}:{node.address[1]} [{mode}]",
                   flush=True)
             try:
-                import time
                 while True:
                     time.sleep(0.5)
             except KeyboardInterrupt:

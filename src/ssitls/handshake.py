@@ -442,7 +442,7 @@ class _Endpoint:
                 resolved = identity.did_resolve(self.config.ledger, did)
         except identity.DidResolutionError as exc:
             self.abort(ResolutionFailure(str(exc)))
-        except identity.IdentityError as exc:
+        except (identity.IdentityError, CryptoError) as exc:
             self.abort(BadIdentity(f"resolved document unusable: {exc}"))
         if resolved is identity.REVOKED or isinstance(resolved, identity.Revoked):
             self.abort(RevokedIdentity(did.text))

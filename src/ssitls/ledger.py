@@ -325,7 +325,7 @@ class LedgerNode(handshake.TcpServer):
             try:
                 record = LedgerRecord.from_json_dict(request.get("record", {}))
                 self.store.put(record)
-            except (LedgerError, Exception) as exc:
+            except Exception as exc:
                 return {"ok": False, "error": f"rejected: {exc}"}
             return {"ok": True}
         return {"ok": False, "error": f"unknown op {op!r}"}

@@ -19,7 +19,7 @@ from . import handshake
 from .certs import X509Identity, make_chain
 from .crypto import KeyPair, SignatureSuite, generate_keypair
 from .identity import Did, TrustStore, VerifiableCredential, derive_did, new_did_document
-from .ledger import FrameIO, LedgerClient, socket_frames
+from .ledger import LedgerClient, session_frames, socket_frames
 
 logger = logging.getLogger(__name__)
 
@@ -89,7 +89,7 @@ class ResolutionInterceptor(handshake.TcpServer):
     def _impersonate_node(self, conn: socket.socket) -> None:
         config = handshake.EndpointConfig(x509_identity=self.attacker_x509)
         outcome = handshake.run_server(config, conn)  # rejected by honest resolvers
-        frames = FrameIO(outcome.session.send, outcome.session.recv)
+        frames = session_frames(outcome.session)
         while True:
             request = frames.recv_frame()
             if request is None:

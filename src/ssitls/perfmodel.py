@@ -19,9 +19,10 @@ from __future__ import annotations
 
 import csv
 import math
+import queue
+import random
 import socket
 import statistics
-import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -60,14 +61,6 @@ class ModelInputs:
     h_o_mut: Stat    # original handshake, mutual auth
 
 
-@dataclass(frozen=True)
-class LatencyEstimate:
-    flow: str
-    estimate: float
-    delta_v: float
-    delta_d: float
-
-
 def delta_v(inputs: ModelInputs) -> float:
     return inputs.t_v.mean + inputs.t_d.mean - inputs.t_c.mean
 
@@ -76,48 +69,27 @@ def delta_d(inputs: ModelInputs) -> float:
     return inputs.t_d.mean - inputs.t_c.mean
 
 
-def estimate_unilateral(inputs: ModelInputs, mode: str) -> LatencyEstimate:
-    dv, dd = delta_v(inputs), delta_d(inputs)
-    base = inputs.h_o_uni.mean
-    value = {"x509": base, "vc": base + dv, "did": base + dd}[mode]
-    return LatencyEstimate(f"{mode}-uni", value, dv, dd)
-
-
-def estimate_mutual(inputs: ModelInputs, mode: str) -> LatencyEstimate:
-    dv, dd = delta_v(inputs), delta_d(inputs)
-    base = inputs.h_o_mut.mean
-    value = {"x509": base, "vc": base + 2 * dv, "did": base + 2 * dd}[mode]
-    return LatencyEstimate(f"{mode}-mut", value, dv, dd)
-
-
-def estimate_hybrid(inputs: ModelInputs, mode: str) -> LatencyEstimate:
-    """One endpoint X.509, the other using `mode`; symmetric by construction."""
-    dv, dd = delta_v(inputs), delta_d(inputs)
-    base = inputs.h_o_mut.mean
-    value = base + (dv if mode == "vc" else dd)
-    return LatencyEstimate(f"hybrid-{mode}", value, dv, dd)
-
-
-# cell name -> estimator
-_CELL_ESTIMATORS = {
-    "x509-uni": lambda m: estimate_unilateral(m, "x509"),
-    "vc-uni": lambda m: estimate_unilateral(m, "vc"),
-    "did-uni": lambda m: estimate_unilateral(m, "did"),
-    "x509-mut": lambda m: estimate_mutual(m, "x509"),
-    "vc-mut": lambda m: estimate_mutual(m, "vc"),
-    "did-mut": lambda m: estimate_mutual(m, "did"),
-    "hybrid-ov": lambda m: estimate_hybrid(m, "vc"),
-    "hybrid-vo": lambda m: estimate_hybrid(m, "vc"),
-    "hybrid-od": lambda m: estimate_hybrid(m, "did"),
-    "hybrid-do": lambda m: estimate_hybrid(m, "did"),
-}
-
-ALL_CELLS = tuple(_CELL_ESTIMATORS)
+ALL_CELLS = ("x509-uni", "vc-uni", "did-uni", "x509-mut", "vc-mut", "did-mut",
+             "hybrid-ov", "hybrid-vo", "hybrid-od", "hybrid-do")
 SSI_CELLS = tuple(c for c in ALL_CELLS if c not in ("x509-uni", "x509-mut"))
 
 
-def estimate_for_cell(inputs: ModelInputs, cell: str) -> LatencyEstimate:
-    return _CELL_ESTIMATORS[cell](inputs)
+def estimate_for_cell(inputs: ModelInputs, cell: str) -> float:
+    """The baseline mean plus one SSI delta per SSI-authenticated side. A
+    hybrid cell has one such side, whichever endpoint it is, so both
+    orientations share one estimate."""
+    if cell not in ALL_CELLS:
+        raise ValueError(f"unknown cell {cell!r}")
+    mode, auth = cell.split("-")
+    if mode == "x509":
+        sides = 0
+    elif mode == "hybrid":
+        mode, sides = ("vc" if "v" in auth else "did"), 1  # ov/vo: VC, od/do: DID
+    else:
+        sides = 2 if auth == "mut" else 1
+    base = inputs.h_o_uni if auth == "uni" else inputs.h_o_mut
+    delta = delta_v(inputs) if mode == "vc" else delta_d(inputs)
+    return base.mean + sides * delta
 
 
 # ---------------------------------------------------------------------------
@@ -130,12 +102,16 @@ class RunRecord:
     suite: str
     run_index: int
     latency: float  # server side, first byte to handshake completion
-    phases: dict[str, float]  # per-run sums of resolve / vc_verify / chain_verify / sign
     phase_samples: dict[str, list[float]]  # individual operations, one entry each
     bytes_client: int
     bytes_server: int
     pk_bytes_client: int
     pk_bytes_server: int
+
+    @property
+    def phases(self) -> dict[str, float]:
+        """Per-run sums of resolve / vc_verify / chain_verify / sign."""
+        return {name: sum(values) for name, values in self.phase_samples.items()}
 
 
 @dataclass
@@ -174,24 +150,26 @@ class MeasurementSet:
         )
 
 
-class _TimingTransport:
-    """Socket wrapper recording the arrival time of the first byte."""
+class _CellServer(handshake.TcpServer):
+    """Serves the measured handshakes of one suite, one connection at a time.
+    The measuring thread queues each server config on `configs` before it
+    connects. Each connection puts (latency, server timers), or the server's
+    exception, on `results`; latency runs from the first ClientHello byte to
+    handshake completion."""
 
-    def __init__(self, sock: socket.socket):
-        self._sock = sock
-        self.first_byte: float | None = None
+    def __init__(self, host: str):
+        super().__init__(host, 0, backlog=8, conn_timeout=30.0)
+        self.configs: queue.Queue[handshake.EndpointConfig] = queue.Queue()
+        self.results: queue.Queue = queue.Queue()
 
-    def sendall(self, data: bytes) -> None:
-        self._sock.sendall(data)
-
-    def recv(self, n: int) -> bytes:
-        data = self._sock.recv(n)
-        if data and self.first_byte is None:
-            self.first_byte = time.perf_counter()
-        return data
-
-    def close(self) -> None:
-        self._sock.close()
+    def serve_one(self, conn: socket.socket) -> None:
+        try:
+            conn.recv(1, socket.MSG_PEEK)
+            first_byte = time.perf_counter()
+            outcome = handshake.run_server(self.configs.get_nowait(), conn)
+            self.results.put((time.perf_counter() - first_byte, outcome.timers))
+        except Exception as exc:
+            self.results.put(exc)
 
 
 def _cell_configs(universe: Universe, cell: str):
@@ -233,7 +211,8 @@ def measure(suites=None, cells=None, runs: int = 200, warmup: int = 5,
             progress=None) -> MeasurementSet:
     """Run `runs` measured handshakes per (suite x cell) after `warmup`
     discarded ones. Identities are drawn from a pool of `identity_pool`
-    provisioned universes per suite, sharing one ledger node."""
+    provisioned universes per suite, sharing one ledger node. A failed server
+    handshake is raised here."""
     suites = list(suites or SignatureSuite)
     cells = list(cells or ALL_CELLS)
     records: list[RunRecord] = []
@@ -242,85 +221,43 @@ def measure(suites=None, cells=None, runs: int = 200, warmup: int = 5,
         store = LedgerStore()
         node_identity, node_root = make_chain(SignatureSuite.ECDSA_SECP256R1_SHA256,
                                               "ledger.node")
-        with LedgerNode(store, node_identity, host=host) as node:
+        with LedgerNode(store, node_identity, host=host) as node, \
+                _CellServer(host) as server:
             resolver = LedgerClient(*node.address, trust_anchor=node_root)
             pool = [build_universe(suite, store=store, ledger=resolver)
                     for _ in range(max(1, identity_pool))]
             for cell in cells:
                 if progress:
                     progress(f"{suite.ietf_name} {cell}")
-                records.extend(_measure_cell(pool, suite, cell, runs, warmup, host))
+                records.extend(_measure_cell(server, pool, suite, cell, runs, warmup))
     return MeasurementSet(records, runs, warmup)
 
 
-def _measure_cell(pool: list[Universe], suite: SignatureSuite, cell: str,
-                  runs: int, warmup: int, host: str) -> list[RunRecord]:
-    import random
-
-    listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-    listener.bind((host, 0))
-    listener.listen(8)
-    address = listener.getsockname()
-    server_results: list[tuple[float, dict, handshake.HandshakeOutcome]] = []
-    stop = threading.Event()
+def _measure_cell(server: _CellServer, pool: list[Universe], suite: SignatureSuite,
+                  cell: str, runs: int, warmup: int) -> list[RunRecord]:
     rand = random.Random(0xC0FFEE)
-
-    picks: list[Universe] = [rand.choice(pool) for _ in range(runs + warmup)]
-
-    def serve():
-        for universe in picks:
-            if stop.is_set():
-                return
-            try:
-                conn, _ = listener.accept()
-            except OSError:
-                return
-            conn.settimeout(30.0)
-            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            transport = _TimingTransport(conn)
-            _, server_config = _cell_configs(universe, cell)
-            try:
-                outcome = handshake.run_server(server_config, transport)
-                done = time.perf_counter()
-                server_results.append((done - transport.first_byte,
-                                       outcome.timers, outcome))
-            finally:
-                conn.close()
-
-    thread = threading.Thread(target=serve, daemon=True)
-    thread.start()
     out: list[RunRecord] = []
-    try:
-        for index, universe in enumerate(picks):
-            client_config, _ = _cell_configs(universe, cell)
-            sock = socket.create_connection(address, timeout=30.0)
+    for index in range(runs + warmup):
+        client_config, server_config = _cell_configs(rand.choice(pool), cell)
+        server.configs.put(server_config)
+        with socket.create_connection(server.address, timeout=30.0) as sock:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            try:
-                client_outcome = handshake.run_client(client_config, sock)
-            finally:
-                sock.close()
-            while len(server_results) <= index:
-                time.sleep(0.0002)
-            latency, server_timers, server_outcome = server_results[index]
-            if index < warmup:
-                continue
-            phases: dict[str, float] = {}
-            samples: dict[str, list[float]] = {}
-            for timers in (client_outcome.timers, server_timers):
-                for name, value in timers.items():
-                    phases[name] = phases.get(name, 0.0) + value
-                    samples.setdefault(name, []).append(value)
-            acc_client = client_outcome.accounting("client")
-            acc_server = client_outcome.accounting("server")
-            out.append(RunRecord(cell, suite.ietf_name, index - warmup, latency,
-                                 phases, samples,
-                                 acc_client.total_bytes, acc_server.total_bytes,
-                                 acc_client.pk_object_bytes, acc_server.pk_object_bytes))
-    finally:
-        stop.set()
-        listener.close()
-        thread.join(timeout=5)
+            client_outcome = handshake.run_client(client_config, sock)
+        result = server.results.get(timeout=30)
+        if isinstance(result, Exception):
+            raise result
+        latency, server_timers = result
+        if index < warmup:
+            continue
+        samples: dict[str, list[float]] = {}
+        for timers in (client_outcome.timers, server_timers):
+            for name, value in timers.items():
+                samples.setdefault(name, []).append(value)
+        acc_client = client_outcome.accounting("client")
+        acc_server = client_outcome.accounting("server")
+        out.append(RunRecord(cell, suite.ietf_name, index - warmup, latency, samples,
+                             acc_client.total_bytes, acc_server.total_bytes,
+                             acc_client.pk_object_bytes, acc_server.pk_object_bytes))
     return out
 
 
@@ -368,7 +305,7 @@ def validate(measurements: MeasurementSet,
             measured = measurements.cell_latency(suite, cell)
             if measured.n == 0:
                 continue
-            estimate = estimate_for_cell(inputs, cell).estimate
+            estimate = estimate_for_cell(inputs, cell)
             rel = abs(measured.mean - estimate) / measured.mean if measured.mean else 0.0
             checks.append(CellCheck(suite, cell, measured, estimate, rel,
                                     rel <= tolerance))

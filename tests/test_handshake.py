@@ -38,7 +38,7 @@ from ssitls.handshake import (
     run_client,
     run_server,
 )
-from ssitls.identity import Did, did_deactivate, did_update, vc_issue
+from ssitls.identity import Did, did_deactivate, did_update, multibase_encode, vc_issue
 from ssitls.ledger import LedgerClient, LedgerNode, LedgerStore
 from ssitls.messages import (
     GROUP_X25519,
@@ -365,6 +365,28 @@ def test_resolved_key_substitution_rejected(fresh_universe):
         u.client_config(Mode.DID, ledger=KeyTamperingLedger(u.store)),
         u.server_config())
     assert isinstance(client, BadSignature)
+
+
+@pytest.mark.parametrize("suite", list(SignatureSuite))
+def test_resolved_key_that_does_not_decode_is_bad_identity(universes, suite):
+    """A resolved document whose key does not decode aborts the resolving
+    side with BadIdentity and sends the peer bad_certificate."""
+    u = universes[suite]
+
+    class ShortKeyLedger:
+        def get(self, msid):
+            record = u.store.get(msid)
+            doc = dict(record.document)
+            doc["authentication"] = [dict(doc["authentication"][0],
+                                          publicKeyMultibase=multibase_encode(b"\x01" * 5))]
+            return dataclasses.replace(record, payload={"document": doc})
+
+    with handshake.HandshakeServer(u.server_config()) as server:
+        with socket.create_connection(server.address, timeout=10) as sock:
+            with pytest.raises(BadIdentity, match="resolved document unusable"):
+                run_client(u.client_config(Mode.DID, ledger=ShortKeyLedger()), sock)
+    assert [(type(e).__name__, getattr(e, "description", None))
+            for e in server.errors] == [("PeerAlert", AlertDescription.BAD_CERTIFICATE)]
 
 
 def test_foreign_method_did_message_is_negotiation_mismatch(ed_universe):

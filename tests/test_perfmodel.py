@@ -3,21 +3,14 @@ end-to-end measurement sanity run. The full-tolerance validation at
 acceptance scale lives in the acceptance suite."""
 
 import math
+import threading
 
 import pytest
 
-from ssitls import perfmodel
+from ssitls import handshake, perfmodel
 from ssitls.crypto import SignatureSuite
-from ssitls.perfmodel import (
-    ModelInputs,
-    Stat,
-    delta_d,
-    delta_v,
-    estimate_for_cell,
-    estimate_hybrid,
-    estimate_mutual,
-    estimate_unilateral,
-)
+from ssitls.identity import did_deactivate
+from ssitls.perfmodel import ModelInputs, Stat, delta_d, delta_v, estimate_for_cell
 
 
 def inputs(t_c=0.0, t_v=0.0, t_d=0.0, uni=0.0, mut=0.0) -> ModelInputs:
@@ -45,15 +38,17 @@ def test_delta_d_is_resolution_minus_chain():
 def test_mutual_estimate_adds_twice_the_delta():
     # delta_v = 36ms on a 50ms mutual baseline -> 122ms
     m = inputs(t_c=9 * MS, t_v=20 * MS, t_d=25 * MS, mut=50 * MS)
-    assert estimate_mutual(m, "vc").estimate == pytest.approx(122 * MS)
+    assert estimate_for_cell(m, "vc-mut") == pytest.approx(122 * MS)
 
 
 def test_hybrid_is_the_midpoint_identity():
     m = inputs(t_c=3 * MS, t_v=8 * MS, t_d=21 * MS, uni=40 * MS, mut=71 * MS)
-    for mode in ("vc", "did"):
-        mutual = estimate_mutual(m, mode).estimate
-        hybrid = estimate_hybrid(m, mode).estimate
-        assert hybrid == pytest.approx(m.h_o_mut.mean + (mutual - m.h_o_mut.mean) / 2)
+    for mutual_cell, hybrids in (("vc-mut", ("hybrid-ov", "hybrid-vo")),
+                                 ("did-mut", ("hybrid-od", "hybrid-do"))):
+        mutual = estimate_for_cell(m, mutual_cell)
+        for hybrid_cell in hybrids:
+            hybrid = estimate_for_cell(m, hybrid_cell)
+            assert hybrid == pytest.approx(m.h_o_mut.mean + (mutual - m.h_o_mut.mean) / 2)
 
 
 def test_everything_collapses_when_deltas_vanish():
@@ -63,12 +58,12 @@ def test_everything_collapses_when_deltas_vanish():
     m2 = inputs(t_c=0.0, t_v=0.0, t_d=0.0, uni=30 * MS, mut=55 * MS)
     for cell in perfmodel.ALL_CELLS:
         base = m2.h_o_mut.mean if not cell.endswith("uni") else m2.h_o_uni.mean
-        assert estimate_for_cell(m2, cell).estimate == pytest.approx(base)
+        assert estimate_for_cell(m2, cell) == pytest.approx(base)
 
 
 def test_mutual_vc_minus_did_is_twice_vc_verify():
     m = inputs(t_c=4 * MS, t_v=11 * MS, t_d=20 * MS, mut=60 * MS)
-    diff = estimate_mutual(m, "vc").estimate - estimate_mutual(m, "did").estimate
+    diff = estimate_for_cell(m, "vc-mut") - estimate_for_cell(m, "did-mut")
     assert diff == pytest.approx(2 * m.t_v.mean)
 
 
@@ -77,12 +72,11 @@ def test_monotonic_in_resolution_time():
     bumped = inputs(t_c=4 * MS, t_v=6 * MS, t_d=27 * MS, uni=30 * MS, mut=60 * MS)
     delta = 7 * MS
     for cell in perfmodel.SSI_CELLS:
-        before = estimate_for_cell(base, cell).estimate
-        after = estimate_for_cell(bumped, cell).estimate
+        before = estimate_for_cell(base, cell)
+        after = estimate_for_cell(bumped, cell)
         assert after - before >= delta - 1e-12
     for cell in ("x509-uni", "x509-mut"):
-        assert estimate_for_cell(base, cell).estimate \
-            == estimate_for_cell(bumped, cell).estimate
+        assert estimate_for_cell(base, cell) == estimate_for_cell(bumped, cell)
 
 
 def test_linear_in_each_input():
@@ -90,9 +84,26 @@ def test_linear_in_each_input():
     b = inputs(t_c=4 * MS, t_v=9 * MS, t_d=15 * MS, uni=30 * MS, mut=70 * MS)
     mid = inputs(t_c=3 * MS, t_v=6 * MS, t_d=10 * MS, uni=25 * MS, mut=55 * MS)
     for cell in perfmodel.ALL_CELLS:
-        expected = (estimate_for_cell(a, cell).estimate
-                    + estimate_for_cell(b, cell).estimate) / 2
-        assert estimate_for_cell(mid, cell).estimate == pytest.approx(expected)
+        expected = (estimate_for_cell(a, cell) + estimate_for_cell(b, cell)) / 2
+        assert estimate_for_cell(mid, cell) == pytest.approx(expected)
+
+
+def test_estimates_match_the_closed_forms():
+    import random
+    rand = random.Random(12)
+    for _ in range(200):
+        t_c, t_v, t_d, uni, mut = (rand.uniform(0, 50) * MS for _ in range(5))
+        m = inputs(t_c=t_c, t_v=t_v, t_d=t_d, uni=uni, mut=mut)
+        closed = {
+            "x509-uni": uni, "vc-uni": uni - t_c + t_v + t_d, "did-uni": uni - t_c + t_d,
+            "x509-mut": mut, "vc-mut": mut + 2 * (t_v + t_d - t_c),
+            "did-mut": mut + 2 * (t_d - t_c),
+            "hybrid-ov": mut + t_v + t_d - t_c, "hybrid-vo": mut + t_v + t_d - t_c,
+            "hybrid-od": mut + t_d - t_c, "hybrid-do": mut + t_d - t_c,
+        }
+        assert tuple(closed) == perfmodel.ALL_CELLS
+        for cell, value in closed.items():
+            assert estimate_for_cell(m, cell) == pytest.approx(value, abs=1e-12)
 
 
 def test_stat_from_samples():
@@ -157,3 +168,30 @@ def test_report_files_written(tmp_path, small_measurement):
     assert header == "run_index,measured_delta_ms,model_delta_ms"
     body = overlay.read_text().splitlines()[1:]
     assert len(body) == 10
+
+
+def test_failed_server_handshake_ends_measure(monkeypatch):
+    """The client returns before the server resolves its deactivated DID;
+    the server's abort must reach the measuring thread."""
+    build = perfmodel.build_universe
+
+    def revoked_client(*args, **kwargs):
+        u = build(*args, **kwargs)
+        did_deactivate(u.ledger, u.client_ssi.did, u.client_ssi.keys)
+        return u
+
+    monkeypatch.setattr(perfmodel, "build_universe", revoked_client)
+    box = {}
+
+    def run():
+        try:
+            perfmodel.measure(suites=[SignatureSuite.ED25519], cells=["did-mut"],
+                              runs=3, warmup=0, identity_pool=1)
+        except BaseException as exc:
+            box["error"] = exc
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(20)
+    assert not thread.is_alive()
+    assert isinstance(box.get("error"), handshake.RevokedIdentity)
