@@ -66,6 +66,7 @@ from .messages import (
 )
 from .record import (
     AlertDescription,
+    BadRecordMac,
     ContentType,
     MessageStream,
     PeerAlert,
@@ -246,8 +247,35 @@ class SecureSession:
 
 
 # ---------------------------------------------------------------------------
-# Server mode negotiation
+# Negotiation
 # ---------------------------------------------------------------------------
+
+# Identity kind -> (the message that carries it, the AuthnMode naming it in
+# ssi_parameters and SSIRequest). A proposal names the kind the client wants
+# from the server; UNSPECIFIED asks for X.509.
+_KINDS = {
+    "x509": (HandshakeType.CERTIFICATE, AuthnMode.UNSPECIFIED),
+    "vc": (HandshakeType.VC, AuthnMode.VC),
+    "did": (HandshakeType.DID, AuthnMode.DID),
+}
+_KIND_OF_MODE = {mode: kind for kind, (_msg_type, mode) in _KINDS.items()}
+
+
+def negotiated_flow(proposal: SsiParameters | None, server_auth: str,
+                    client_auth: str | None) -> Flow:
+    """The flow of a handshake, from the client's `ssi_parameters` (None when
+    it sent none) and the identity kind each side authenticated with
+    ("x509" | "vc" | "did"; `client_auth` is None without client auth)."""
+    if proposal is None:
+        return Flow.ORIGINAL
+    if server_auth == "x509":
+        if proposal.mode is not AuthnMode.UNSPECIFIED:
+            return Flow.FALLBACK
+        return Flow.ORIGINAL if client_auth in (None, "x509") else Flow.HYBRID_SERVER_X509
+    if client_auth == "x509":
+        return Flow.HYBRID_CLIENT_X509
+    return Flow.SSI_VC if server_auth == "vc" else Flow.SSI_DID
+
 
 @dataclass(frozen=True)
 class ServerDecision:
@@ -260,43 +288,32 @@ class ServerDecision:
 def negotiate_server_mode(params: SsiParameters | None,
                           config: EndpointConfig) -> ServerDecision:
     """Total decision function from the ClientHello signal and local config."""
-    has_x509 = config.x509_identity is not None
     ssi = config.ssi_identity
-    x509_client_auth = "x509" if config.request_client_auth else None
-
+    server_auth, methods = "x509", ()
+    client_auth = "x509" if config.request_client_auth else None
     if params is None:
-        if not has_x509:
-            raise NegotiationMismatch("no X.509 identity for an original handshake")
-        return ServerDecision("x509", x509_client_auth, (), Flow.ORIGINAL)
-
-    if params.mode is AuthnMode.UNSPECIFIED:
+        no_x509 = "no X.509 identity for an original handshake"
+    elif params.mode is AuthnMode.UNSPECIFIED:
         # peer holds an SSI identity but insists on X.509 from us
-        if not has_x509:
-            raise NegotiationMismatch("client requires X.509 server authentication")
+        no_x509 = "client requires X.509 server authentication"
         if (config.request_client_auth and config.client_auth_mode == "ssi"
                 and config.ledger is not None and config.supported_methods):
-            mode = "vc" if config.ssi_request_mode is AuthnMode.VC else "did"
-            return ServerDecision("x509", mode, tuple(config.supported_methods),
-                                  Flow.HYBRID_SERVER_X509)
-        return ServerDecision("x509", x509_client_auth, (), Flow.ORIGINAL)
-
-    wanted = "vc" if params.mode is AuthnMode.VC else "did"
-    capable = (ssi is not None
-               and ssi.did.method.code in params.did_methods
-               and (wanted == "did" or ssi.vc is not None))
-    if not capable:
-        if not has_x509:
-            raise NegotiationMismatch("cannot satisfy the proposed SSI mode")
-        return ServerDecision("x509", x509_client_auth, (), Flow.FALLBACK)
-
-    flow = Flow.SSI_VC if wanted == "vc" else Flow.SSI_DID
-    if not config.request_client_auth:
-        return ServerDecision(wanted, None, (), flow)
-    if config.client_auth_mode == "x509":
-        return ServerDecision(wanted, "x509", (), Flow.HYBRID_CLIENT_X509)
-    # mutual SSI keeps the client's mode; methods are the common set
-    common = tuple(m for m in config.supported_methods if m in params.did_methods)
-    return ServerDecision(wanted, wanted, common, flow)
+            client_auth = _KIND_OF_MODE[config.ssi_request_mode]
+            methods = tuple(config.supported_methods)
+    else:
+        no_x509 = "cannot satisfy the proposed SSI mode"
+        wanted = _KIND_OF_MODE[params.mode]
+        if (ssi is not None and ssi.did.method.code in params.did_methods
+                and (wanted == "did" or ssi.vc is not None)):
+            server_auth = wanted
+            if client_auth is not None and config.client_auth_mode != "x509":
+                # mutual SSI keeps the client's mode; methods are the common set
+                client_auth = wanted
+                methods = tuple(m for m in config.supported_methods if m in params.did_methods)
+    if server_auth == "x509" and config.x509_identity is None:
+        raise NegotiationMismatch(no_x509)
+    return ServerDecision(server_auth, client_auth, methods,
+                          negotiated_flow(params, server_auth, client_auth))
 
 
 # ---------------------------------------------------------------------------
@@ -330,6 +347,7 @@ class _Endpoint:
         self.transcript = HandshakeTranscript()
         self.cipher = config.cipher_suite
         self.timers = _Timers()
+        self.alerted = False
 
     # -- plumbing -----------------------------------------------------------
 
@@ -342,27 +360,42 @@ class _Endpoint:
         return raw
 
     def recv_msg(self, *expected: HandshakeType):
-        try:
-            raw = self.stream.next_handshake_raw()
-        except DecodeError as exc:
-            self.abort(DecodeAbort(str(exc)))
+        raw = self.stream.next_handshake_raw()
         if raw[0] not in expected:
             got = (HandshakeType(raw[0]).name
                    if raw[0] in HandshakeType._value2member_map_ else str(raw[0]))
             want = "/".join(t.name for t in expected)
             self.abort(UnexpectedMessage(f"got {got}, expected {want}"))
         self.transcript.append(self.peer_role, raw)
-        try:
-            return messages.decode(raw)
-        except DecodeError as exc:
-            self.abort(DecodeAbort(str(exc)))
+        return messages.decode(raw)
+
+    def alert(self, description: int) -> None:
+        """Send a fatal alert; a connection carries at most one."""
+        if not self.alerted:
+            self.alerted = True
+            self.records.send_alert(description)
 
     def abort(self, exc: HandshakeAbort) -> None:
-        self.records.send_alert(exc.alert)
+        self.alert(exc.alert)
         raise exc
 
     def transcript_hash(self) -> bytes:
         return self.transcript.hash(self.cipher)
+
+    def shared_secret(self, ephemeral, peer_public: bytes) -> bytes:
+        """x25519 with the peer's key share; a share it rejects (low order or
+        wrong length) is answered with illegal_parameter."""
+        try:
+            return ecdhe_exchange(ephemeral, peer_public)
+        except CryptoError:
+            self.alert(AlertDescription.ILLEGAL_PARAMETER)
+            raise
+
+    def outcome(self, flow: Flow, peer: PeerIdentity, *secrets: bytes) -> HandshakeOutcome:
+        """The completed handshake; `secrets` are c_hs, s_hs, c_ap, s_ap."""
+        return HandshakeOutcome(flow, SessionKeys(*secrets, self.cipher), peer,
+                                self.transcript, self.cipher, dict(self.timers),
+                                SecureSession(self.records, self.stream))
 
     # -- signatures over the transcript --------------------------------------
 
@@ -451,33 +484,22 @@ class _Endpoint:
         except Exception as exc:
             self.abort(BadIdentity(f"resolved document unusable: {exc}"))
 
-    # -- own identity flights -------------------------------------------------
+    # -- own identity flight ---------------------------------------------------
 
-    def send_x509_identity(self) -> None:
-        ident = self.config.x509_identity
-        if ident is None:
-            self.abort(NegotiationMismatch(f"{self.role} lacks an X.509 identity"))
-        self.send_msg(Certificate(b"", tuple((der, b"") for der in ident.chain)))
-        self.send_msg(self.make_verify_message("certificate_verify", ident.keys))
-
-    def send_ssi_identity(self, mode: str) -> None:
-        ident = self.config.ssi_identity
-        if ident is None or (mode == "vc" and ident.vc is None):
-            self.abort(NegotiationMismatch(f"{self.role} lacks the {mode} identity"))
-        if mode == "vc":
+    def send_identity(self, kind: str) -> None:
+        """Send our `kind` ("x509" | "vc" | "did") identity and its Verify."""
+        config = self.config
+        ident = config.x509_identity if kind == "x509" else config.ssi_identity
+        if ident is None or (kind == "vc" and ident.vc is None):
+            self.abort(NegotiationMismatch(f"{self.role} lacks the {kind} identity"))
+        if kind == "x509":
+            self.send_msg(Certificate(b"", tuple((der, b"") for der in ident.chain)))
+        elif kind == "vc":
             self.send_msg(VcMessage(identity.vc_serialize(ident.vc)))
         else:
             self.send_msg(DidMessage(ident.did.method.code, ident.did.text.encode()))
-        self.send_msg(self.make_verify_message("did_verify", ident.keys))
-
-    def recv_peer_identity(self, kind: str,
-                           acceptable_methods: tuple[int, ...]) -> PeerIdentity:
-        """Receive the peer's Certificate/VC/DID (`kind` is "x509" | "vc" |
-        "did") and verify it; returns the verified peer."""
-        first = {"x509": HandshakeType.CERTIFICATE,
-                 "vc": HandshakeType.VC,
-                 "did": HandshakeType.DID}[kind]
-        return self.verify_peer_identity(self.recv_msg(first), acceptable_methods)
+        purpose = "certificate_verify" if kind == "x509" else "did_verify"
+        self.send_msg(self.make_verify_message(purpose, ident.keys))
 
     def verify_peer_identity(self, msg, acceptable_methods: tuple[int, ...]) -> PeerIdentity:
         """Verify a received Certificate, VC or DID message and the Verify
@@ -522,7 +544,7 @@ class _Client(_Endpoint):
         rng = config.rng
         ephemeral = generate_x25519(rng)
 
-        sent_params = self._proposed_parameters()
+        proposal = self._proposed_parameters()
         extensions = [
             (int(ExtensionType.SUPPORTED_VERSIONS), b"\x02\x03\x04"),
             (int(ExtensionType.SUPPORTED_GROUPS),
@@ -532,8 +554,8 @@ class _Client(_Endpoint):
             (int(ExtensionType.KEY_SHARE),
              encode_key_share_client([(GROUP_X25519, ephemeral.public_key)])),
         ]
-        if sent_params is not None:
-            extensions.append((int(ExtensionType.SSI_PARAMETERS), sent_params.encode()))
+        if proposal is not None:
+            extensions.append((int(ExtensionType.SSI_PARAMETERS), proposal.encode()))
         hello = ClientHello(
             random=rng.bytes(32),
             session_id=rng.bytes(32),
@@ -552,7 +574,7 @@ class _Client(_Endpoint):
         group, server_public = decode_key_share_server(share)
         if group != GROUP_X25519:
             self.abort(NegotiationMismatch(f"unsupported key-share group {group}"))
-        shared = ecdhe_exchange(ephemeral, server_public)
+        shared = self.shared_secret(ephemeral, server_public)
 
         schedule = KeySchedule(self.cipher)
         schedule.inject_ecdhe(shared)
@@ -562,59 +584,37 @@ class _Client(_Endpoint):
 
         self.recv_msg(HandshakeType.ENCRYPTED_EXTENSIONS)
 
-        first_types = {
-            None: (HandshakeType.CERTIFICATE_REQUEST, HandshakeType.CERTIFICATE),
-            AuthnMode.UNSPECIFIED: (HandshakeType.SSI_REQUEST,
-                                    HandshakeType.CERTIFICATE_REQUEST,
-                                    HandshakeType.CERTIFICATE),
-            AuthnMode.VC: (HandshakeType.SSI_REQUEST, HandshakeType.CERTIFICATE_REQUEST,
-                           HandshakeType.CERTIFICATE, HandshakeType.VC),
-            AuthnMode.DID: (HandshakeType.SSI_REQUEST, HandshakeType.CERTIFICATE_REQUEST,
-                            HandshakeType.CERTIFICATE, HandshakeType.DID),
-        }[sent_params.mode if sent_params is not None else None]
-        msg = self.recv_msg(*first_types)
-
-        auth_request: tuple[str, tuple[int, ...]] | None = None
-        saw_ssi_request = False
+        # An optional client-auth request, then the server's identity: X.509
+        # or the proposed kind, but only the proposed kind after an SSIRequest.
+        wanted = "x509" if proposal is None else _KIND_OF_MODE[proposal.mode]
+        identities = {_KINDS[kind][0]: kind for kind in ("x509", wanted)}
+        requests = (HandshakeType.CERTIFICATE_REQUEST,)
+        if proposal is not None:
+            requests += (HandshakeType.SSI_REQUEST,)
+        msg = self.recv_msg(*requests, *identities)
+        client_auth = None
         if isinstance(msg, CertificateRequest):
             self._check_certificate_request(msg)
-            auth_request = ("x509", ())
-            remaining = tuple(t for t in first_types
-                              if t not in (HandshakeType.CERTIFICATE_REQUEST,
-                                           HandshakeType.SSI_REQUEST))
-            msg = self.recv_msg(*remaining)
+            client_auth = "x509"
+            msg = self.recv_msg(*identities)
         elif isinstance(msg, SsiRequest):
-            saw_ssi_request = True
-            auth_request = self._check_ssi_request(msg, sent_params)
-            if sent_params.mode is AuthnMode.UNSPECIFIED:
-                msg = self.recv_msg(HandshakeType.CERTIFICATE)
-            elif sent_params.mode is AuthnMode.VC:
-                msg = self.recv_msg(HandshakeType.VC)
-            else:
-                msg = self.recv_msg(HandshakeType.DID)
-
-        server_auth = {Certificate: "x509", VcMessage: "vc", DidMessage: "did"}[type(msg)]
+            client_auth = self._check_ssi_request(msg, proposal)
+            msg = self.recv_msg(_KINDS[wanted][0])
+        server_auth = identities[msg.msg_type]
         peer = self.verify_peer_identity(
-            msg, sent_params.did_methods if sent_params is not None else ())
+            msg, proposal.did_methods if proposal is not None else ())
 
         self.check_finished(s_hs)
         c_ap, s_ap = schedule.app_traffic_secrets(self.transcript.all_bytes())
         self.records.protect_reads(self.cipher, s_ap)
 
-        if auth_request is not None:
-            req_kind, _methods = auth_request
-            if req_kind == "x509":
-                self.send_x509_identity()
-            else:
-                self.send_ssi_identity(req_kind)
+        if client_auth is not None:
+            self.send_identity(client_auth)
         self.send_finished(c_hs)
         self.records.protect_writes(self.cipher, c_ap)
 
-        flow = self._flow(sent_params, server_auth, auth_request, saw_ssi_request)
-        keys = SessionKeys(c_hs, s_hs, c_ap, s_ap, self.cipher)
-        return HandshakeOutcome(flow, keys, peer, self.transcript, self.cipher,
-                                dict(self.timers),
-                                SecureSession(self.records, self.stream))
+        return self.outcome(negotiated_flow(proposal, server_auth, client_auth),
+                            peer, c_hs, s_hs, c_ap, s_ap)
 
     def _proposed_parameters(self) -> SsiParameters | None:
         mode = self.config.preferred_mode
@@ -622,8 +622,7 @@ class _Client(_Endpoint):
             return None
         if mode is Mode.VC_PEER_X509:
             return SsiParameters(AuthnMode.UNSPECIFIED, ())
-        authn = AuthnMode.VC if mode is Mode.VC else AuthnMode.DID
-        return SsiParameters(authn, tuple(self.config.supported_methods))
+        return SsiParameters(_KINDS[mode.value][1], tuple(self.config.supported_methods))
 
     def _check_certificate_request(self, msg: CertificateRequest) -> None:
         if self.config.x509_identity is None:
@@ -636,8 +635,8 @@ class _Client(_Endpoint):
                 self.abort(NegotiationMismatch("our certificate suite is not"
                                                " acceptable to the server"))
 
-    def _check_ssi_request(self, msg: SsiRequest,
-                           sent: SsiParameters) -> tuple[str, tuple[int, ...]]:
+    def _check_ssi_request(self, msg: SsiRequest, sent: SsiParameters) -> str:
+        """Check the server's SSIRequest; returns the identity kind it asks for."""
         params = msg.ssi_parameters
         if params.mode is AuthnMode.UNSPECIFIED:
             self.abort(NegotiationMismatch("SSIRequest carries no authentication mode"))
@@ -645,8 +644,6 @@ class _Client(_Endpoint):
             self.abort(NegotiationMismatch(
                 "server switched the authentication mode"))
         if sent.did_methods:
-            if not params.did_methods:
-                self.abort(NegotiationMismatch("SSIRequest with no common DID methods"))
             for m in params.did_methods:
                 if m not in sent.did_methods:
                     self.abort(NegotiationMismatch(
@@ -661,20 +658,7 @@ class _Client(_Endpoint):
             self.abort(NegotiationMismatch("server asked for a credential we lack"))
         if ident.keys.suite.scheme_code not in msg.signature_algorithms:
             self.abort(NegotiationMismatch("our signing suite is not acceptable"))
-        return ("vc" if params.mode is AuthnMode.VC else "did", params.did_methods)
-
-    @staticmethod
-    def _flow(sent: SsiParameters | None, server_auth: str,
-              auth_request, saw_ssi_request: bool) -> Flow:
-        if sent is None:
-            return Flow.ORIGINAL
-        if sent.mode is AuthnMode.UNSPECIFIED:
-            return Flow.HYBRID_SERVER_X509 if saw_ssi_request else Flow.ORIGINAL
-        if server_auth == "x509":
-            return Flow.FALLBACK
-        if auth_request is not None and auth_request[0] == "x509":
-            return Flow.HYBRID_CLIENT_X509
-        return Flow.SSI_VC if server_auth == "vc" else Flow.SSI_DID
+        return _KIND_OF_MODE[params.mode]
 
 
 # ---------------------------------------------------------------------------
@@ -696,22 +680,15 @@ class _Server(_Endpoint):
         share_raw = hello.extensions.get(ExtensionType.KEY_SHARE)
         if share_raw is None:
             self.abort(NegotiationMismatch("client offered no key share"))
-        try:
-            shares = decode_key_share_client(share_raw)
-        except DecodeError as exc:
-            self.abort(DecodeAbort(str(exc)))
+        shares = decode_key_share_client(share_raw)
         client_public = next((key for group, key in shares if group == GROUP_X25519), None)
         if client_public is None:
             self.abort(NegotiationMismatch("client offered no x25519 share"))
-        try:
-            params = hello.ssi_parameters()
-        except DecodeError as exc:
-            self.abort(DecodeAbort(str(exc)))
-
+        params = hello.ssi_parameters()
         decision = negotiate_server_mode(params, config)
 
         ephemeral = generate_x25519(rng)
-        shared = ecdhe_exchange(ephemeral, client_public)
+        shared = self.shared_secret(ephemeral, client_public)
         sh = ServerHello(
             random=rng.bytes(32),
             session_id=hello.session_id,
@@ -737,34 +714,25 @@ class _Server(_Endpoint):
                 (int(ExtensionType.SIGNATURE_ALGORITHMS),
                  encode_signature_algorithms(config.signature_algorithms)),
             ))))
-        elif decision.client_auth in ("vc", "did"):
-            mode = AuthnMode.VC if decision.client_auth == "vc" else AuthnMode.DID
+        elif decision.client_auth is not None:
             self.send_msg(SsiRequest(
-                SsiParameters(mode, decision.ssi_request_methods),
+                SsiParameters(_KINDS[decision.client_auth][1], decision.ssi_request_methods),
                 tuple(s.scheme_code for s in config.signature_algorithms)))
-
-        if decision.server_auth == "x509":
-            self.send_x509_identity()
-        else:
-            self.send_ssi_identity(decision.server_auth)
+        self.send_identity(decision.server_auth)
 
         self.send_finished(s_hs)
         c_ap, s_ap = schedule.app_traffic_secrets(self.transcript.all_bytes())
         self.records.protect_writes(self.cipher, s_ap)
 
-        if decision.client_auth is not None:
-            peer = self.recv_peer_identity(decision.client_auth,
-                                           decision.ssi_request_methods)
-        else:
+        if decision.client_auth is None:
             peer = PeerIdentity.anonymous()
+        else:
+            peer = self.verify_peer_identity(self.recv_msg(_KINDS[decision.client_auth][0]),
+                                             decision.ssi_request_methods)
 
         self.check_finished(c_hs)
         self.records.protect_reads(self.cipher, c_ap)
-
-        keys = SessionKeys(c_hs, s_hs, c_ap, s_ap, self.cipher)
-        return HandshakeOutcome(decision.flow, keys, peer, self.transcript,
-                                self.cipher, dict(self.timers),
-                                SecureSession(self.records, self.stream))
+        return self.outcome(decision.flow, peer, c_hs, s_hs, c_ap, s_ap)
 
 
 # ---------------------------------------------------------------------------
@@ -774,8 +742,12 @@ class _Server(_Endpoint):
 def _run_wrapped(endpoint: _Endpoint) -> HandshakeOutcome:
     try:
         return endpoint.run()
-    except HandshakeAbort:
-        raise  # alert already sent
+    except HandshakeAbort as exc:
+        endpoint.alert(exc.alert)  # sent already unless raised outside abort()
+        raise
+    except BadRecordMac:
+        endpoint.alert(AlertDescription.BAD_RECORD_MAC)
+        raise
     except (PeerAlert, RecordError, TransportClosed):
         raise
     except ConnectionError as exc:
@@ -787,13 +759,14 @@ def _run_wrapped(endpoint: _Endpoint) -> HandshakeOutcome:
             raise alert from exc
         except Exception:
             pass
-        raise
+        raise TransportClosed(f"peer went away mid-handshake: {exc}") from exc
     except DecodeError as exc:
-        endpoint.records.send_alert(AlertDescription.DECODE_ERROR)
+        # malformed input anywhere in the handshake
+        endpoint.alert(AlertDescription.DECODE_ERROR)
         raise DecodeAbort(str(exc)) from exc
     except Exception:
         # config errors and crypto failures: unblock the peer, then re-raise
-        endpoint.records.send_alert(AlertDescription.INTERNAL_ERROR)
+        endpoint.alert(AlertDescription.INTERNAL_ERROR)
         raise
 
 

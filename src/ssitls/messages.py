@@ -537,8 +537,6 @@ class HandshakeTranscript:
 class BytesAccounting:
     total_bytes: int
     pk_object_bytes: int
-    public_keys: int
-    signatures: int
 
 
 def transcript_bytes_accounting(transcript: HandshakeTranscript, role: str) -> BytesAccounting:
@@ -551,8 +549,6 @@ def transcript_bytes_accounting(transcript: HandshakeTranscript, role: str) -> B
     """
     total = 0
     pk_bytes = 0
-    n_pk = 0
-    n_sig = 0
     for entry in transcript.entries:
         if entry.sender != role:
             continue
@@ -562,19 +558,15 @@ def transcript_bytes_accounting(transcript: HandshakeTranscript, role: str) -> B
             for cert_der, _exts in msg.entries:
                 suite = certs.leaf_suite(cert_der)
                 pk_bytes += suite.nominal_public_key_len + suite.nominal_signature_len
-                n_pk += 1
-                n_sig += 1
         elif isinstance(msg, (CertificateVerify, DidVerify)):
             suite = SignatureSuite.from_scheme_code(msg.scheme)
             pk_bytes += suite.nominal_signature_len
-            n_sig += 1
         elif isinstance(msg, VcMessage):
             vc = identity.vc_deserialize(msg.vc)
             if vc.proof is not None:
                 suite = SignatureSuite.from_w3c_name(vc.proof.type)
                 pk_bytes += suite.nominal_signature_len
-                n_sig += 1
-    return BytesAccounting(total, pk_bytes, n_pk, n_sig)
+    return BytesAccounting(total, pk_bytes)
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,10 @@ class RecordError(Exception):
     """Record framing or AEAD failure; fatal to the connection."""
 
 
+class BadRecordMac(RecordError):
+    """A protected record failed AEAD authentication."""
+
+
 class PeerAlert(Exception):
     def __init__(self, description: int):
         try:
@@ -146,7 +150,7 @@ class RecordLayer:
         try:
             inner = self._read.aead.decrypt(self._read.nonce(), body, header)
         except Exception as exc:
-            raise RecordError("record authentication failed") from exc
+            raise BadRecordMac("record authentication failed") from exc
         self._read.seq += 1
         stripped = inner.rstrip(b"\x00")
         if not stripped:

@@ -7,6 +7,7 @@ import dataclasses
 import datetime
 import pickle
 import socket
+import struct
 import threading
 import time
 
@@ -20,6 +21,7 @@ from ssitls.crypto import (
     DeterministicRng,
     SignatureSuite,
     generate_keypair,
+    generate_x25519,
 )
 from ssitls.handshake import (
     BadIdentity,
@@ -33,6 +35,7 @@ from ssitls.handshake import (
     ResolutionFailure,
     RevokedIdentity,
     SsiIdentity,
+    UnexpectedMessage,
     handshake_pair,
     negotiate_server_mode,
     run_client,
@@ -43,13 +46,18 @@ from ssitls.ledger import LedgerClient, LedgerNode, LedgerStore
 from ssitls.messages import (
     GROUP_X25519,
     AuthnMode,
+    Certificate,
     ClientHello,
+    DidMessage,
     ExtensionBlock,
     ExtensionType,
     HandshakeType,
     SsiParameters,
+    SsiRequest,
+    decode,
     encode,
     encode_key_share_client,
+    encode_key_share_server,
     encode_signature_algorithms,
 )
 from ssitls.mitm import ResolutionInterceptor
@@ -60,6 +68,7 @@ from ssitls.record import (
     PeerAlert,
     RecordError,
     RecordLayer,
+    TransportClosed,
     memory_pipe,
 )
 
@@ -402,6 +411,38 @@ def test_foreign_method_did_message_is_negotiation_mismatch(ed_universe):
     assert isinstance(client, NegotiationMismatch)
 
 
+def _inadmissible_flights(u):
+    """(client mode, server overrides, message replaced, replacement): each
+    replacement is a message the client's proposal does not admit there."""
+    did = u.server_ssi.did
+    return {
+        "did-for-vc-proposal": (
+            Mode.VC, {}, HandshakeType.VC,
+            DidMessage(did.method.code, did.text.encode())),
+        "certificate-after-ssi-request": (
+            Mode.VC, {"request_client_auth": True}, HandshakeType.VC,
+            Certificate(b"", tuple((der, b"") for der in u.server_x509.chain))),
+        "ssi-request-without-proposal": (
+            Mode.X509, {"request_client_auth": True, "client_auth_mode": "x509"},
+            HandshakeType.CERTIFICATE_REQUEST,
+            SsiRequest(SsiParameters(AuthnMode.VC, (did.method.code,)),
+                       (u.suite.scheme_code,))),
+    }
+
+
+@pytest.mark.parametrize("case", ["did-for-vc-proposal", "certificate-after-ssi-request",
+                                  "ssi-request-without-proposal"])
+def test_client_admits_only_what_its_proposal_allows(ed_universe, case):
+    u = ed_universe
+    mode, server_kw, target, replacement = _inadmissible_flights(u)[case]
+    config = u.server_config(tamper=tamper_type(target, lambda raw: encode(replacement)),
+                             **server_kw)
+    client, server = pair_results(u.client_config(mode), config)
+    assert isinstance(client, UnexpectedMessage), client
+    assert isinstance(server, PeerAlert), server
+    assert server.description == AlertDescription.UNEXPECTED_MESSAGE
+
+
 def test_untrusted_did_rejected(fresh_universe):
     u = fresh_universe
     from ssitls.identity import TrustStore
@@ -464,24 +505,70 @@ def test_server_reports_the_alert_that_beats_its_write(fresh_universe):
             for e in server.errors] == [("PeerAlert", AlertDescription.CERTIFICATE_REVOKED)]
 
 
+def _client_hello(key_share: bytes) -> ClientHello:
+    return ClientHello(bytes(32), bytes(32), (MANDATORY_CIPHER_SUITE.code,),
+                       ExtensionBlock((
+                           (int(ExtensionType.SUPPORTED_VERSIONS), b"\x02\x03\x04"),
+                           (int(ExtensionType.SUPPORTED_GROUPS), b"\x00\x02\x00\x1d"),
+                           (int(ExtensionType.SIGNATURE_ALGORITHMS),
+                            encode_signature_algorithms(tuple(SignatureSuite))),
+                           (int(ExtensionType.KEY_SHARE), key_share),
+                       )))
+
+
 def test_server_records_a_low_order_key_share(ed_universe):
-    zero_share = encode_key_share_client([(GROUP_X25519, bytes(32))])
-    hello = ClientHello(bytes(32), bytes(32), (MANDATORY_CIPHER_SUITE.code,),
-                        ExtensionBlock((
-                            (int(ExtensionType.SUPPORTED_VERSIONS), b"\x02\x03\x04"),
-                            (int(ExtensionType.SUPPORTED_GROUPS), b"\x00\x02\x00\x1d"),
-                            (int(ExtensionType.SIGNATURE_ALGORITHMS),
-                             encode_signature_algorithms(tuple(SignatureSuite))),
-                            (int(ExtensionType.KEY_SHARE), zero_share),
-                        )))
+    hello = _client_hello(encode_key_share_client([(GROUP_X25519, bytes(32))]))
     with handshake.HandshakeServer(ed_universe.server_config()) as server:
         with socket.create_connection(server.address, timeout=10) as sock:
             records = RecordLayer(sock)
             records.send(ContentType.HANDSHAKE, encode(hello))
-            content_type, _alert = records.recv()
+            content_type, alert = records.recv()
             assert content_type == ContentType.ALERT
+            assert alert[1] == AlertDescription.ILLEGAL_PARAMETER
     assert len(server.errors) == 1
     assert isinstance(server.errors[0], CryptoError)
+
+
+def test_client_answers_a_short_key_share_with_illegal_parameter(ed_universe):
+    def short_share(raw: bytes) -> bytes:
+        hello = decode(raw)
+        share = encode_key_share_server(GROUP_X25519, bytes(31))
+        return encode(dataclasses.replace(hello, extensions=ExtensionBlock((
+            (int(ExtensionType.SUPPORTED_VERSIONS), b"\x03\x04"),
+            (int(ExtensionType.KEY_SHARE), share)))))
+
+    u = ed_universe
+    client, server = pair_results(
+        u.client_config(Mode.X509),
+        u.server_config(tamper=tamper_type(HandshakeType.SERVER_HELLO, short_share)))
+    assert isinstance(client, CryptoError), client
+    assert isinstance(server, PeerAlert), server
+    assert server.description == AlertDescription.ILLEGAL_PARAMETER
+
+
+def test_server_reports_a_peer_that_resets_mid_handshake(ed_universe):
+    """The client leaves with a reset right after ServerHello: the server's
+    failed write or read surfaces as TransportClosed."""
+    share = encode_key_share_client([(GROUP_X25519, generate_x25519().public_key)])
+    with handshake.HandshakeServer(ed_universe.server_config()) as server:
+        sock = socket.create_connection(server.address, timeout=10)
+        records = RecordLayer(sock)
+        records.send(ContentType.HANDSHAKE, encode(_client_hello(share)))
+        assert records.recv()[0] == ContentType.HANDSHAKE
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+        sock.close()
+    assert [type(e) for e in server.errors] == [TransportClosed]
+
+
+def test_server_that_cannot_negotiate_alerts_the_client(ed_universe):
+    """A server with no identity for the client's proposal aborts before
+    ServerHello and still sends handshake_failure."""
+    u = ed_universe
+    client, server = pair_results(
+        u.client_config(Mode.X509), dataclasses.replace(u.server_config(), x509_identity=None))
+    assert isinstance(server, NegotiationMismatch), server
+    assert isinstance(client, PeerAlert), client
+    assert client.description == AlertDescription.HANDSHAKE_FAILURE
 
 
 def test_revoked_client_did_aborts_mutual(fresh_universe):
@@ -540,7 +627,8 @@ def test_client_hello_tampered_in_flight_detected(ed_universe):
     t.start()
     with pytest.raises((RecordError, HandshakeAbort, PeerAlert)):
         run_client(u.client_config(Mode.VC), BitFlipTransport(c_sock))
-    t.join(20)
+    t.join(2)
+    assert not t.is_alive()
     assert not isinstance(box.get("server"), handshake.HandshakeOutcome)
     c_sock.close()
     s_sock.close()
