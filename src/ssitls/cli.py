@@ -26,7 +26,6 @@ from .handshake import EndpointConfig, Flow, HandshakeAbort, Mode, SsiIdentity
 from .ledger import LedgerClient, LedgerNode, LedgerStore
 from .messages import AuthnMode
 from .provision import build_universe
-from .record import PeerAlert, RecordError, TransportClosed
 
 logger = logging.getLogger(__name__)
 
@@ -41,6 +40,9 @@ EXIT_CODES = {
     "decode_error": 7,
     "finished_mismatch": 8,
     "transport": 9,
+    "peer_alert": 9,
+    "record_error": 9,
+    "transport_closed": 9,
     "config": 10,
     "expectation": 11,
     "unexpected_message": 12,
@@ -266,11 +268,10 @@ def print_outcome(outcome: handshake.HandshakeOutcome, own_role: str) -> None:
 
 
 def _abort_exit(exc: Exception) -> int:
-    if isinstance(exc, HandshakeAbort):
-        return EXIT_CODES.get(exc.kind, EXIT_CODES["error"])
-    if isinstance(exc, (PeerAlert, RecordError, TransportClosed, OSError)):
-        return EXIT_CODES["transport"]
-    return EXIT_CODES["error"]
+    """Exit code of a failed connection: a HandshakeAbort's kind, or a
+    transport failure for an OSError."""
+    kind = "transport" if isinstance(exc, OSError) else getattr(exc, "kind", "error")
+    return EXIT_CODES.get(kind, EXIT_CODES["error"])
 
 
 def _check_flow(outcome, expect_flow: str | None) -> int:
@@ -332,7 +333,7 @@ def cmd_client(args) -> int:
         code = _check_flow(outcome, args.expect_flow)
         outcome.session.close()
         return code
-    except (HandshakeAbort, PeerAlert, RecordError, TransportClosed) as exc:
+    except HandshakeAbort as exc:
         print(f"handshake failed: {exc}", file=sys.stderr)
         return _abort_exit(exc)
     finally:

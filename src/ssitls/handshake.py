@@ -66,11 +66,10 @@ from .messages import (
 )
 from .record import (
     AlertDescription,
-    BadRecordMac,
     ContentType,
+    HandshakeAbort,
     MessageStream,
     PeerAlert,
-    RecordError,
     RecordLayer,
     TransportClosed,
 )
@@ -97,17 +96,8 @@ class Flow(enum.Enum):
 
 
 # ---------------------------------------------------------------------------
-# Failures. `kind` is the stable programmatic name; `alert` the wire code.
+# Failures: each is a record.HandshakeAbort carrying its own alert.
 # ---------------------------------------------------------------------------
-
-class HandshakeAbort(Exception):
-    kind = "internal_error"
-    alert = AlertDescription.INTERNAL_ERROR
-
-    def __init__(self, detail: str = ""):
-        super().__init__(f"{self.kind}" + (f": {detail}" if detail else ""))
-        self.detail = detail
-
 
 class NegotiationMismatch(HandshakeAbort):
     kind = "negotiation_mismatch"
@@ -147,6 +137,11 @@ class UnexpectedMessage(HandshakeAbort):
 class DecodeAbort(HandshakeAbort):
     kind = "decode_error"
     alert = AlertDescription.DECODE_ERROR
+
+
+class BadKeyShare(HandshakeAbort):
+    kind = "bad_key_share"
+    alert = AlertDescription.ILLEGAL_PARAMETER
 
 
 class ConfigError(Exception):
@@ -310,6 +305,8 @@ def negotiate_server_mode(params: SsiParameters | None,
                 # mutual SSI keeps the client's mode; methods are the common set
                 client_auth = wanted
                 methods = tuple(m for m in config.supported_methods if m in params.did_methods)
+                if not methods:
+                    raise NegotiationMismatch("no DID method in common for client authentication")
     if server_auth == "x509" and config.x509_identity is None:
         raise NegotiationMismatch(no_x509)
     return ServerDecision(server_auth, client_auth, methods,
@@ -347,7 +344,6 @@ class _Endpoint:
         self.transcript = HandshakeTranscript()
         self.cipher = config.cipher_suite
         self.timers = _Timers()
-        self.alerted = False
 
     # -- plumbing -----------------------------------------------------------
 
@@ -365,31 +361,20 @@ class _Endpoint:
             got = (HandshakeType(raw[0]).name
                    if raw[0] in HandshakeType._value2member_map_ else str(raw[0]))
             want = "/".join(t.name for t in expected)
-            self.abort(UnexpectedMessage(f"got {got}, expected {want}"))
+            raise UnexpectedMessage(f"got {got}, expected {want}")
         self.transcript.append(self.peer_role, raw)
         return messages.decode(raw)
-
-    def alert(self, description: int) -> None:
-        """Send a fatal alert; a connection carries at most one."""
-        if not self.alerted:
-            self.alerted = True
-            self.records.send_alert(description)
-
-    def abort(self, exc: HandshakeAbort) -> None:
-        self.alert(exc.alert)
-        raise exc
 
     def transcript_hash(self) -> bytes:
         return self.transcript.hash(self.cipher)
 
     def shared_secret(self, ephemeral, peer_public: bytes) -> bytes:
         """x25519 with the peer's key share; a share it rejects (low order or
-        wrong length) is answered with illegal_parameter."""
+        wrong length) is a BadKeyShare."""
         try:
             return ecdhe_exchange(ephemeral, peer_public)
-        except CryptoError:
-            self.alert(AlertDescription.ILLEGAL_PARAMETER)
-            raise
+        except CryptoError as exc:
+            raise BadKeyShare(str(exc)) from exc
 
     def outcome(self, flow: Flow, peer: PeerIdentity, *secrets: bytes) -> HandshakeOutcome:
         """The completed handshake; `secrets` are c_hs, s_hs, c_ap, s_ap."""
@@ -411,14 +396,14 @@ class _Endpoint:
         try:
             claimed = SignatureSuite.from_scheme_code(msg.scheme)
         except Exception:
-            self.abort(BadSignature(f"unknown signature scheme 0x{msg.scheme:04x}"))
+            raise BadSignature(f"unknown signature scheme 0x{msg.scheme:04x}")
         if claimed is not suite:
-            self.abort(BadSignature("signature scheme does not match the peer key"))
+            raise BadSignature("signature scheme does not match the peer key")
         if claimed not in self.config.signature_algorithms:
-            self.abort(BadSignature("signature scheme was not offered"))
+            raise BadSignature("signature scheme was not offered")
         content = build_signed_content(self.peer_role, purpose, th_before)
         if not verify(suite, public_key, content, msg.signature):
-            self.abort(BadSignature(f"{purpose} verification failed"))
+            raise BadSignature(f"{purpose} verification failed")
 
     # -- peer identity processing --------------------------------------------
 
@@ -428,7 +413,7 @@ class _Endpoint:
                 leaf = certs.verify_chain(msg.chain, list(self.config.x509_roots))
                 suite, public_key = certs.leaf_key(leaf)
         except certs.CertificateError as exc:
-            self.abort(BadIdentity(str(exc)))
+            raise BadIdentity(str(exc))
         peer = PeerIdentity(kind="x509", x509_subject=leaf.subject.rfc4514_string())
         return suite, public_key, peer
 
@@ -441,13 +426,13 @@ class _Endpoint:
                     vc, self.config.trust_store,
                     datetime.datetime.now(datetime.timezone.utc))
         except identity.VcRejected as exc:
-            self.abort(BadIdentity(exc.reason.value))
+            raise BadIdentity(exc.reason.value)
         except identity.IdentityError as exc:
-            self.abort(BadIdentity(str(exc)))
+            raise BadIdentity(str(exc))
         if subject.method.code not in acceptable_methods:
-            self.abort(NegotiationMismatch(
+            raise NegotiationMismatch(
                 f"credential subject DID uses method {subject.method.code},"
-                f" not one of the negotiated methods"))
+                f" not one of the negotiated methods")
         suite, public_key = self.resolve_peer_key(subject)
         peer = PeerIdentity(kind="did", did=subject, claims=dict(vc.claims))
         return suite, public_key, peer
@@ -455,16 +440,15 @@ class _Endpoint:
     def process_did_message(self, msg: DidMessage,
                             acceptable_methods: tuple[int, ...]) -> tuple[SignatureSuite, bytes, PeerIdentity]:
         if msg.did_method not in acceptable_methods:
-            self.abort(NegotiationMismatch(
-                f"DID method {msg.did_method} was not negotiated"))
+            raise NegotiationMismatch(f"DID method {msg.did_method} was not negotiated")
         try:
             did = identity.Did.parse(msg.did.decode("utf-8"))
         except (UnicodeDecodeError, identity.DidParseError) as exc:
-            self.abort(BadIdentity(f"unparseable DID: {exc}"))
+            raise BadIdentity(f"unparseable DID: {exc}")
         if did.method.code != msg.did_method:
-            self.abort(BadIdentity("DID method byte disagrees with the DID"))
+            raise BadIdentity("DID method byte disagrees with the DID")
         if not self.config.trust_store.is_trusted_did(did):
-            self.abort(BadIdentity(f"{did.text} is not in the trusted-DID list"))
+            raise BadIdentity(f"{did.text} is not in the trusted-DID list")
         suite, public_key = self.resolve_peer_key(did)
         peer = PeerIdentity(kind="did", did=did)
         return suite, public_key, peer
@@ -474,15 +458,15 @@ class _Endpoint:
             with _timed(self.timers, "resolve"):
                 resolved = identity.did_resolve(self.config.ledger, did)
         except identity.DidResolutionError as exc:
-            self.abort(ResolutionFailure(str(exc)))
+            raise ResolutionFailure(str(exc))
         except (identity.IdentityError, CryptoError) as exc:
-            self.abort(BadIdentity(f"resolved document unusable: {exc}"))
-        if resolved is identity.REVOKED or isinstance(resolved, identity.Revoked):
-            self.abort(RevokedIdentity(did.text))
+            raise BadIdentity(f"resolved document unusable: {exc}")
+        if isinstance(resolved, identity.Revoked):
+            raise RevokedIdentity(did.text)
         try:
             return resolved.authentication_key()
         except Exception as exc:
-            self.abort(BadIdentity(f"resolved document unusable: {exc}"))
+            raise BadIdentity(f"resolved document unusable: {exc}")
 
     # -- own identity flight ---------------------------------------------------
 
@@ -491,7 +475,7 @@ class _Endpoint:
         config = self.config
         ident = config.x509_identity if kind == "x509" else config.ssi_identity
         if ident is None or (kind == "vc" and ident.vc is None):
-            self.abort(NegotiationMismatch(f"{self.role} lacks the {kind} identity"))
+            raise NegotiationMismatch(f"{self.role} lacks the {kind} identity")
         if kind == "x509":
             self.send_msg(Certificate(b"", tuple((der, b"") for der in ident.chain)))
         elif kind == "vc":
@@ -523,7 +507,7 @@ class _Endpoint:
         msg = self.recv_msg(HandshakeType.FINISHED)
         expected = finished_mac(self.cipher, secret, th_before)
         if not hmac.compare_digest(expected, msg.verify_data):
-            self.abort(FinishedMismatch())
+            raise FinishedMismatch()
 
     def send_finished(self, secret: bytes) -> None:
         mac = finished_mac(self.cipher, secret, self.transcript_hash())
@@ -566,14 +550,14 @@ class _Client(_Endpoint):
 
         sh = self.recv_msg(HandshakeType.SERVER_HELLO)
         if sh.cipher_suite != config.cipher_suite.code:
-            self.abort(NegotiationMismatch(
-                f"server chose unsupported cipher suite 0x{sh.cipher_suite:04x}"))
+            raise NegotiationMismatch(
+                f"server chose unsupported cipher suite 0x{sh.cipher_suite:04x}")
         share = sh.extensions.get(ExtensionType.KEY_SHARE)
         if share is None:
-            self.abort(NegotiationMismatch("server offered no key share"))
+            raise NegotiationMismatch("server offered no key share")
         group, server_public = decode_key_share_server(share)
         if group != GROUP_X25519:
-            self.abort(NegotiationMismatch(f"unsupported key-share group {group}"))
+            raise NegotiationMismatch(f"unsupported key-share group {group}")
         shared = self.shared_secret(ephemeral, server_public)
 
         schedule = KeySchedule(self.cipher)
@@ -626,38 +610,37 @@ class _Client(_Endpoint):
 
     def _check_certificate_request(self, msg: CertificateRequest) -> None:
         if self.config.x509_identity is None:
-            self.abort(NegotiationMismatch("server requires X.509 client"
-                                           " authentication we cannot provide"))
+            raise NegotiationMismatch("server requires X.509 client"
+                                      " authentication we cannot provide")
         algs = msg.extensions.get(ExtensionType.SIGNATURE_ALGORITHMS)
         if algs is not None:
             offered = decode_signature_algorithms(algs)
             if self.config.x509_identity.keys.suite.scheme_code not in offered:
-                self.abort(NegotiationMismatch("our certificate suite is not"
-                                               " acceptable to the server"))
+                raise NegotiationMismatch("our certificate suite is not"
+                                          " acceptable to the server")
 
     def _check_ssi_request(self, msg: SsiRequest, sent: SsiParameters) -> str:
         """Check the server's SSIRequest; returns the identity kind it asks for."""
         params = msg.ssi_parameters
         if params.mode is AuthnMode.UNSPECIFIED:
-            self.abort(NegotiationMismatch("SSIRequest carries no authentication mode"))
+            raise NegotiationMismatch("SSIRequest carries no authentication mode")
         if sent.mode is not AuthnMode.UNSPECIFIED and params.mode is not sent.mode:
-            self.abort(NegotiationMismatch(
-                "server switched the authentication mode"))
+            raise NegotiationMismatch("server switched the authentication mode")
         if sent.did_methods:
             for m in params.did_methods:
                 if m not in sent.did_methods:
-                    self.abort(NegotiationMismatch(
-                        f"SSIRequest lists method {m} we never offered"))
+                    raise NegotiationMismatch(
+                        f"SSIRequest lists method {m} we never offered")
         ident = self.config.ssi_identity
         if ident is None:
-            self.abort(NegotiationMismatch("no SSI identity for client authentication"))
+            raise NegotiationMismatch("no SSI identity for client authentication")
         if ident.did.method.code not in params.did_methods:
-            self.abort(NegotiationMismatch(
-                "we hold no DID in a ledger the server can resolve"))
+            raise NegotiationMismatch(
+                "we hold no DID in a ledger the server can resolve")
         if params.mode is AuthnMode.VC and ident.vc is None:
-            self.abort(NegotiationMismatch("server asked for a credential we lack"))
+            raise NegotiationMismatch("server asked for a credential we lack")
         if ident.keys.suite.scheme_code not in msg.signature_algorithms:
-            self.abort(NegotiationMismatch("our signing suite is not acceptable"))
+            raise NegotiationMismatch("our signing suite is not acceptable")
         return _KIND_OF_MODE[params.mode]
 
 
@@ -676,14 +659,14 @@ class _Server(_Endpoint):
 
         hello = self.recv_msg(HandshakeType.CLIENT_HELLO)
         if config.cipher_suite.code not in hello.cipher_suites:
-            self.abort(NegotiationMismatch("no common cipher suite"))
+            raise NegotiationMismatch("no common cipher suite")
         share_raw = hello.extensions.get(ExtensionType.KEY_SHARE)
         if share_raw is None:
-            self.abort(NegotiationMismatch("client offered no key share"))
+            raise NegotiationMismatch("client offered no key share")
         shares = decode_key_share_client(share_raw)
         client_public = next((key for group, key in shares if group == GROUP_X25519), None)
         if client_public is None:
-            self.abort(NegotiationMismatch("client offered no x25519 share"))
+            raise NegotiationMismatch("client offered no x25519 share")
         params = hello.ssi_parameters()
         decision = negotiate_server_mode(params, config)
 
@@ -740,15 +723,13 @@ class _Server(_Endpoint):
 # ---------------------------------------------------------------------------
 
 def _run_wrapped(endpoint: _Endpoint) -> HandshakeOutcome:
+    """Run one role. A failing endpoint sends at most one fatal alert, and
+    only a HandshakeAbort or a ConfigError leaves."""
     try:
         return endpoint.run()
     except HandshakeAbort as exc:
-        endpoint.alert(exc.alert)  # sent already unless raised outside abort()
-        raise
-    except BadRecordMac:
-        endpoint.alert(AlertDescription.BAD_RECORD_MAC)
-        raise
-    except (PeerAlert, RecordError, TransportClosed):
+        if exc.alert is not None:
+            endpoint.records.send_alert(exc.alert)
         raise
     except ConnectionError as exc:
         # The peer may have aborted with an alert and closed while we were
@@ -762,12 +743,14 @@ def _run_wrapped(endpoint: _Endpoint) -> HandshakeOutcome:
         raise TransportClosed(f"peer went away mid-handshake: {exc}") from exc
     except DecodeError as exc:
         # malformed input anywhere in the handshake
-        endpoint.alert(AlertDescription.DECODE_ERROR)
+        endpoint.records.send_alert(AlertDescription.DECODE_ERROR)
         raise DecodeAbort(str(exc)) from exc
-    except Exception:
-        # config errors and crypto failures: unblock the peer, then re-raise
-        endpoint.alert(AlertDescription.INTERNAL_ERROR)
-        raise
+    except Exception as exc:
+        # a bad config, a local fault or a stalled peer: unblock the peer
+        endpoint.records.send_alert(AlertDescription.INTERNAL_ERROR)
+        if isinstance(exc, ConfigError):
+            raise
+        raise HandshakeAbort(str(exc)) from exc
 
 
 def run_client(config: EndpointConfig, transport) -> HandshakeOutcome:
@@ -780,10 +763,8 @@ def run_server(config: EndpointConfig, transport) -> HandshakeOutcome:
 
 def handshake_pair(client_config: EndpointConfig, server_config: EndpointConfig,
                    timeout: float = 30.0) -> tuple[HandshakeOutcome, HandshakeOutcome]:
-    """Run both endpoints over an in-memory pipe; re-raises either failure."""
-    from .record import memory_pipe
-
-    client_sock, server_sock = memory_pipe()
+    """Run both endpoints over a socket pair; re-raises either failure."""
+    client_sock, server_sock = socket.socketpair()
     client_sock.settimeout(timeout)
     server_sock.settimeout(timeout)
     result: dict = {}
@@ -803,10 +784,9 @@ def handshake_pair(client_config: EndpointConfig, server_config: EndpointConfig,
     thread.join(timeout)
 
     if "client_error" in result and "server_error" in result:
-        # the side that detected the problem is the interesting one
+        # the side that detected the problem is the one that got no alert
         client_exc, server_exc = result["client_error"], result["server_error"]
-        primary = client_exc if isinstance(client_exc, HandshakeAbort) else server_exc
-        raise primary
+        raise server_exc if isinstance(client_exc, PeerAlert) else client_exc
     if "server_error" in result:
         raise result["server_error"]
     if "client_error" in result:
@@ -899,8 +879,7 @@ class HandshakeServer(TcpServer):
             config = self._config() if callable(self._config) else self._config
             outcome = run_server(config, conn)
             self._handler(outcome)
-        except (HandshakeAbort, PeerAlert, RecordError, TransportClosed,
-                ConfigError, CryptoError, OSError) as exc:
+        except (HandshakeAbort, ConfigError, OSError) as exc:
             logger.debug("connection dropped: %s", exc)
             self.errors.append(exc)
 
@@ -910,6 +889,6 @@ def echo_handler(outcome: HandshakeOutcome) -> None:
     while True:
         try:
             data = session.recv()
-        except (TransportClosed, PeerAlert, RecordError):
+        except HandshakeAbort:
             return
         session.send(data)

@@ -22,7 +22,7 @@ from pathlib import Path
 
 from . import handshake
 from .certs import X509Identity
-from .crypto import KeyPair, SignatureSuite, verify
+from .crypto import KeyPair, verify
 from .identity import (
     Did,
     DidDocument,
@@ -31,7 +31,7 @@ from .identity import (
     canonical_json,
     genesis_bytes,
 )
-from .record import PeerAlert, RecordError, TransportClosed
+from .record import TransportClosed
 
 logger = logging.getLogger(__name__)
 
@@ -107,11 +107,6 @@ class LedgerRecord:
             raise LedgerError(f"malformed record: {exc}") from exc
 
 
-def _signer_key(document: dict) -> tuple[SignatureSuite, bytes]:
-    doc = DidDocument.from_json_dict(document)
-    return doc.authentication_key()
-
-
 # ---------------------------------------------------------------------------
 # Store
 # ---------------------------------------------------------------------------
@@ -174,16 +169,17 @@ class LedgerStore:
             if record.is_tombstone:
                 raise LedgerRejected("tombstone cannot open a sequence")
             signer = record.document
+        try:
             doc = DidDocument.from_json_dict(signer)
+            suite, public_key = doc.authentication_key()
+        except Exception as exc:
+            raise LedgerRejected(f"cannot extract the controlling key: {exc}") from exc
+        if not existing:
             address = hashlib.sha256(genesis_bytes(doc)).hexdigest()
             if address != record.method_specific_id:
                 raise LedgerRejected("id is not the document's content address")
             if doc.id.method_specific_id != record.method_specific_id:
                 raise LedgerRejected("document id does not match the record id")
-        try:
-            suite, public_key = _signer_key(signer)
-        except Exception as exc:
-            raise LedgerRejected(f"cannot extract the controlling key: {exc}") from exc
         if not verify(suite, public_key, record.signing_bytes(), record.author_signature):
             raise LedgerRejected("record is not signed by the controlling key")
         self._records.setdefault(record.method_specific_id, []).append(record)
@@ -309,8 +305,7 @@ class LedgerNode(handshake.TcpServer):
                 if request is None:
                     return
                 frames.send_frame(self._handle(request))
-        except (handshake.HandshakeAbort, PeerAlert, RecordError, TransportClosed,
-                LedgerError, OSError) as exc:
+        except (handshake.HandshakeAbort, LedgerError, OSError) as exc:
             logger.debug("ledger session dropped: %s", exc)
 
     def _handle(self, request: dict) -> dict:
@@ -383,18 +378,15 @@ class LedgerClient:
                 config = handshake.EndpointConfig(
                     preferred_mode=handshake.Mode.X509,
                     x509_roots=(self.trust_anchor,))
-                try:
-                    outcome = handshake.run_client(config, sock)
-                except (handshake.HandshakeAbort, PeerAlert, RecordError,
-                        TransportClosed) as exc:
-                    raise DidResolutionError(
-                        f"ledger channel authentication failed: {exc}") from exc
-                frames = session_frames(outcome.session)
+                frames = session_frames(handshake.run_client(config, sock).session)
             frames.send_frame(request)
             response = frames.recv_frame()
             if response is None:
                 raise DidResolutionError("ledger node closed the connection")
             return response
+        except handshake.HandshakeAbort as exc:
+            # the ledger channel's own failure, never the caller's handshake peer's
+            raise DidResolutionError(f"ledger channel failed: {exc}") from exc
         except LedgerError as exc:
             raise DidResolutionError(str(exc)) from exc
         except OSError as exc:

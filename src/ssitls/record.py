@@ -4,7 +4,6 @@ records for everything after ServerHello, and alert framing."""
 from __future__ import annotations
 
 import enum
-import socket
 import struct
 
 from .crypto import CipherSuite, aead, traffic_keys
@@ -23,6 +22,7 @@ class AlertDescription(enum.IntEnum):
     CLOSE_NOTIFY = 0
     UNEXPECTED_MESSAGE = 10
     BAD_RECORD_MAC = 20
+    RECORD_OVERFLOW = 22
     HANDSHAKE_FAILURE = 40
     BAD_CERTIFICATE = 42
     CERTIFICATE_REVOKED = 44
@@ -33,31 +33,57 @@ class AlertDescription(enum.IntEnum):
     INTERNAL_ERROR = 80
 
 
-class TransportClosed(Exception):
-    pass
+class HandshakeAbort(Exception):
+    """The one root of every connection failure. `kind` is the stable
+    programmatic name; `alert` the fatal alert the side that detects the
+    failure sends, None when the failure is the peer's own ending."""
+    kind = "internal_error"
+    alert: AlertDescription | None = AlertDescription.INTERNAL_ERROR
+
+    def __init__(self, detail: str = ""):
+        super().__init__(f"{self.kind}" + (f": {detail}" if detail else ""))
+        self.detail = detail
 
 
-class RecordError(Exception):
-    """Record framing or AEAD failure; fatal to the connection."""
+class PeerAlert(HandshakeAbort):
+    """The peer ended the connection with a fatal alert."""
+    kind = "peer_alert"
+    alert = None
 
-
-class BadRecordMac(RecordError):
-    """A protected record failed AEAD authentication."""
-
-
-class PeerAlert(Exception):
     def __init__(self, description: int):
         try:
             name = AlertDescription(description).name.lower()
         except ValueError:
             name = str(description)
-        super().__init__(f"peer sent fatal alert: {name}")
+        super().__init__(name)
         self.description = description
 
 
-def memory_pipe() -> tuple[socket.socket, socket.socket]:
-    """In-memory duplex byte stream for tests (a socketpair)."""
-    return socket.socketpair()
+class TransportClosed(HandshakeAbort):
+    """The peer went away without an alert."""
+    kind = "transport_closed"
+    alert = None
+
+
+class RecordError(HandshakeAbort):
+    """Record framing failure (RFC 8446 §5); fatal to the connection."""
+    kind = "record_error"
+    alert = AlertDescription.DECODE_ERROR
+
+
+class BadRecordMac(RecordError):
+    """A protected record failed AEAD authentication (§5.2)."""
+    alert = AlertDescription.BAD_RECORD_MAC
+
+
+class RecordOverflow(RecordError):
+    """A record longer than 2^14 + 256 bytes (§5.2)."""
+    alert = AlertDescription.RECORD_OVERFLOW
+
+
+class UnexpectedRecord(RecordError):
+    """A content type not allowed here, or none at all (§5, §5.4)."""
+    alert = AlertDescription.UNEXPECTED_MESSAGE
 
 
 class _DirectionState:
@@ -137,16 +163,16 @@ class RecordLayer:
         if version != 0x0303:
             raise RecordError(f"bad record version 0x{version:04x}")
         if length > MAX_FRAGMENT + 256:
-            raise RecordError(f"oversized record ({length} bytes)")
+            raise RecordOverflow(f"oversized record ({length} bytes)")
         body = self._read_exact(length)
         if self._read is None:
             if content_type not in (ContentType.ALERT, ContentType.HANDSHAKE):
-                raise RecordError(f"unexpected plaintext record type {content_type}")
+                raise UnexpectedRecord(f"unexpected plaintext record type {content_type}")
             return content_type, body
         if content_type != ContentType.APPLICATION_DATA:
             if content_type == ContentType.ALERT:
                 return content_type, body  # peer may alert in the clear
-            raise RecordError(f"unprotected record type {content_type} after key change")
+            raise UnexpectedRecord(f"unprotected record type {content_type} after key change")
         try:
             inner = self._read.aead.decrypt(self._read.nonce(), body, header)
         except Exception as exc:
@@ -154,7 +180,7 @@ class RecordLayer:
         self._read.seq += 1
         stripped = inner.rstrip(b"\x00")
         if not stripped:
-            raise RecordError("record with no content type")
+            raise UnexpectedRecord("record with no content type")
         return stripped[-1], stripped[:-1]
 
     def close(self) -> None:
@@ -193,7 +219,7 @@ class MessageStream:
             elif ctype == ContentType.APPLICATION_DATA:
                 self._app_buf.append(payload)
             else:
-                raise RecordError(f"unexpected record type {ctype}")
+                raise UnexpectedRecord(f"unexpected record type {ctype}")
 
     def next_app_data(self) -> bytes:
         if self._app_buf:
@@ -206,4 +232,4 @@ class MessageStream:
                 if len(payload) >= 2 and payload[1] == AlertDescription.CLOSE_NOTIFY:
                     raise TransportClosed("peer closed the session")
                 raise PeerAlert(payload[1] if len(payload) >= 2 else 0)
-            raise RecordError(f"unexpected record type {ctype} after handshake")
+            raise UnexpectedRecord(f"unexpected record type {ctype} after handshake")

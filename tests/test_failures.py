@@ -1,0 +1,213 @@
+"""The failure model: every connection failure is a HandshakeAbort that
+carries its own alert (RFC 8446 §6), each side ends promptly, and a nested
+ledger channel's failure is reported as a resolution failure, never as the
+handshake peer's."""
+
+import socket
+import struct
+import time
+
+import pytest
+
+from ssitls import cli, handshake, record
+from ssitls.certs import make_chain
+from ssitls.crypto import MANDATORY_CIPHER_SUITE, SignatureSuite
+from ssitls.handshake import (
+    BadIdentity,
+    BadKeyShare,
+    BadSignature,
+    DecodeAbort,
+    EndpointConfig,
+    FinishedMismatch,
+    HandshakeAbort,
+    Mode,
+    NegotiationMismatch,
+    ResolutionFailure,
+    RevokedIdentity,
+    UnexpectedMessage,
+    run_client,
+    run_server,
+)
+from ssitls.ledger import LedgerClient
+from ssitls.record import (
+    AlertDescription as A,
+    BadRecordMac,
+    ContentType,
+    PeerAlert,
+    RecordError,
+    RecordLayer,
+    RecordOverflow,
+    TransportClosed,
+    UnexpectedRecord,
+)
+
+from test_handshake import pair_results
+
+EXPECTED_ALERTS = {
+    HandshakeAbort: A.INTERNAL_ERROR,
+    PeerAlert: None,
+    TransportClosed: None,
+    RecordError: A.DECODE_ERROR,
+    BadRecordMac: A.BAD_RECORD_MAC,
+    RecordOverflow: A.RECORD_OVERFLOW,
+    UnexpectedRecord: A.UNEXPECTED_MESSAGE,
+    BadKeyShare: A.ILLEGAL_PARAMETER,
+    NegotiationMismatch: A.HANDSHAKE_FAILURE,
+    BadIdentity: A.BAD_CERTIFICATE,
+    RevokedIdentity: A.CERTIFICATE_REVOKED,
+    BadSignature: A.DECRYPT_ERROR,
+    FinishedMismatch: A.DECRYPT_ERROR,
+    ResolutionFailure: A.INTERNAL_ERROR,
+    UnexpectedMessage: A.UNEXPECTED_MESSAGE,
+    DecodeAbort: A.DECODE_ERROR,
+}
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_every_failure_is_a_handshake_abort_with_its_own_alert():
+    assert handshake.HandshakeAbort is record.HandshakeAbort
+    assert {HandshakeAbort, *_subclasses(HandshakeAbort)} == set(EXPECTED_ALERTS)
+    for cls, alert in EXPECTED_ALERTS.items():
+        assert issubclass(cls, HandshakeAbort) and cls.alert == alert, cls
+
+
+@pytest.mark.parametrize("exc,code", [
+    (PeerAlert(A.HANDSHAKE_FAILURE), 9),
+    (TransportClosed("gone"), 9),
+    (RecordOverflow("big"), 9),
+    (BadRecordMac("mac"), 9),
+    (ConnectionResetError(), 9),
+    (BadIdentity("who"), 3),
+    (HandshakeAbort("stalled"), 13),
+    (BadKeyShare("low order"), 1),
+])
+def test_cli_exit_code_follows_the_failure_kind(exc, code):
+    assert cli._abort_exit(exc) == code
+
+
+def test_a_stalled_peer_ends_in_a_typed_abort_that_is_alerted(ed_universe):
+    client_sock, server_sock = socket.socketpair()
+    client_sock.settimeout(5)
+    server_sock.settimeout(0.2)
+    with client_sock, server_sock:
+        with pytest.raises(HandshakeAbort) as info:
+            run_server(ed_universe.server_config(), server_sock)
+        assert type(info.value) is HandshakeAbort
+        assert isinstance(info.value.__cause__, TimeoutError)
+        assert RecordLayer(client_sock).recv() == (ContentType.ALERT,
+                                                   bytes([2, A.INTERNAL_ERROR]))
+
+
+# ---------------------------------------------------------------------------
+# Record errors: the class names the fault, its alert goes on the wire
+# ---------------------------------------------------------------------------
+
+def _header(content_type: int, length: int, version: int = 0x0303) -> bytes:
+    return struct.pack("!BHH", content_type, version, length)
+
+
+def _record_pair(protected: bool):
+    """A writer and a reader record layer; when `protected`, the writer's
+    write keys are the reader's read keys."""
+    a, b = socket.socketpair()
+    a.settimeout(5)
+    b.settimeout(5)
+    writer, reader = RecordLayer(a), RecordLayer(b)
+    if protected:
+        secret = bytes(range(32))
+        writer.protect_writes(MANDATORY_CIPHER_SUITE, secret)
+        reader.protect_reads(MANDATORY_CIPHER_SUITE, secret)
+    return writer, reader
+
+
+# fault -> (error raised, protected reads, what the writer sends)
+RECORD_FAULTS = {
+    "oversized": (RecordOverflow, False, lambda w: w.transport.sendall(
+        _header(ContentType.HANDSHAKE, 20_000) + bytes(20_000))),
+    "cleartext-application-data": (UnexpectedRecord, False, lambda w: w.transport.sendall(
+        _header(ContentType.APPLICATION_DATA, 5) + b"hello")),
+    "unprotected-after-key-change": (UnexpectedRecord, True, lambda w: w.transport.sendall(
+        _header(ContentType.HANDSHAKE, 4) + bytes(4))),
+    "no-content-type": (UnexpectedRecord, True, lambda w: w._send_one(0, b"\x00\x00")),
+    "bad-mac": (BadRecordMac, True, lambda w: w.transport.sendall(
+        _header(ContentType.APPLICATION_DATA, 17) + bytes(17))),
+    "bad-version": (RecordError, False, lambda w: w.transport.sendall(
+        _header(ContentType.HANDSHAKE, 4, version=0x0200) + bytes(4))),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(RECORD_FAULTS))
+def test_record_layer_names_each_fault(fault):
+    expected, protected, send = RECORD_FAULTS[fault]
+    writer, reader = _record_pair(protected)
+    send(writer)
+    with pytest.raises(RecordError) as info:
+        reader.recv()
+    assert type(info.value) is expected
+    writer.close()
+    reader.close()
+
+
+@pytest.mark.parametrize("raw,alert,expected", [
+    (_header(ContentType.HANDSHAKE, 20_000) + bytes(20_000), A.RECORD_OVERFLOW, RecordOverflow),
+    (_header(ContentType.APPLICATION_DATA, 5) + b"hello", A.UNEXPECTED_MESSAGE, UnexpectedRecord),
+], ids=["oversized", "cleartext-application-data"])
+def test_server_alerts_a_bad_first_record(ed_universe, raw, alert, expected):
+    with handshake.HandshakeServer(ed_universe.server_config(), conn_timeout=5) as server:
+        with socket.create_connection(server.address, timeout=5) as sock:
+            sock.sendall(raw)
+            assert RecordLayer(sock).recv() == (ContentType.ALERT, bytes([2, alert]))
+    assert [type(e) for e in server.errors] == [expected]
+
+
+# ---------------------------------------------------------------------------
+# Negotiation and nested resolution
+# ---------------------------------------------------------------------------
+
+def test_mutual_ssi_without_a_common_method_is_a_negotiation_mismatch(ed_universe):
+    """The server's own DID method matches the proposal, but the methods it
+    accepts for the client do not: its own configuration, not the client's
+    hello, ends the handshake."""
+    u = ed_universe
+    client, server = pair_results(
+        u.client_config(Mode.VC), u.server_config(request_client_auth=True,
+                                                  supported_methods=(0,)))
+    assert isinstance(server, NegotiationMismatch), server
+    assert isinstance(client, PeerAlert), client
+    assert client.description == A.HANDSHAKE_FAILURE
+
+
+def test_nested_channel_failure_is_a_resolution_failure(ed_universe):
+    """A ledger node authenticates and then answers the lookup with an
+    alert: the resolving client reports a resolution failure, not an alert
+    from its handshake peer, and that peer hears internal_error at once."""
+    u = ed_universe
+    node_identity, node_root = make_chain(SignatureSuite.ED25519, "ledger.node")
+
+    class AlertingNode(handshake.TcpServer):
+        def serve_one(self, conn):
+            outcome = run_server(EndpointConfig(x509_identity=node_identity), conn)
+            outcome.session.recv()
+            outcome.session._records.send_alert(A.HANDSHAKE_FAILURE)
+
+    with AlertingNode("127.0.0.1", 0, backlog=4, conn_timeout=5) as node, \
+            handshake.HandshakeServer(u.server_config(), conn_timeout=5) as server:
+        ledger = LedgerClient(*node.address, trust_anchor=node_root, timeout=5)
+        sock = socket.create_connection(server.address, timeout=5)
+        try:
+            start = time.monotonic()
+            with pytest.raises(ResolutionFailure):
+                run_client(u.client_config(Mode.DID, ledger=ledger), sock)
+            assert time.monotonic() - start < 1
+            while not server.errors and time.monotonic() - start < 5:
+                time.sleep(0.01)
+            assert time.monotonic() - start < 1
+            assert [(type(e), e.description) for e in server.errors] == \
+                [(PeerAlert, A.INTERNAL_ERROR)]
+        finally:
+            sock.close()

@@ -17,7 +17,6 @@ from ssitls import handshake
 from ssitls.certs import make_chain
 from ssitls.crypto import (
     MANDATORY_CIPHER_SUITE,
-    CryptoError,
     DeterministicRng,
     SignatureSuite,
     generate_keypair,
@@ -25,6 +24,7 @@ from ssitls.crypto import (
 )
 from ssitls.handshake import (
     BadIdentity,
+    BadKeyShare,
     BadSignature,
     EndpointConfig,
     FinishedMismatch,
@@ -69,14 +69,13 @@ from ssitls.record import (
     RecordError,
     RecordLayer,
     TransportClosed,
-    memory_pipe,
 )
 
 
 def pair_results(client_config, server_config, payload=b"across the channel"):
     """Run both sides; returns (client outcome/exception, server o/e).
     On double success the protected echo is exercised too."""
-    c_sock, s_sock = memory_pipe()
+    c_sock, s_sock = socket.socketpair()
     c_sock.settimeout(20)
     s_sock.settimeout(20)
     box = {}
@@ -526,7 +525,7 @@ def test_server_records_a_low_order_key_share(ed_universe):
             assert content_type == ContentType.ALERT
             assert alert[1] == AlertDescription.ILLEGAL_PARAMETER
     assert len(server.errors) == 1
-    assert isinstance(server.errors[0], CryptoError)
+    assert isinstance(server.errors[0], BadKeyShare)
 
 
 def test_client_answers_a_short_key_share_with_illegal_parameter(ed_universe):
@@ -541,7 +540,7 @@ def test_client_answers_a_short_key_share_with_illegal_parameter(ed_universe):
     client, server = pair_results(
         u.client_config(Mode.X509),
         u.server_config(tamper=tamper_type(HandshakeType.SERVER_HELLO, short_share)))
-    assert isinstance(client, CryptoError), client
+    assert isinstance(client, BadKeyShare), client
     assert isinstance(server, PeerAlert), server
     assert server.description == AlertDescription.ILLEGAL_PARAMETER
 
@@ -592,7 +591,7 @@ def test_client_hello_tampered_in_flight_detected(ed_universe):
     """A wire-level attacker flipping plaintext ClientHello bits desynchronises
     the transcripts, so the first protected flight fails authentication."""
     u = ed_universe
-    c_sock, s_sock = memory_pipe()
+    c_sock, s_sock = socket.socketpair()
     c_sock.settimeout(20)
     s_sock.settimeout(20)
 

@@ -48,6 +48,26 @@ def test_put_get_round_trip():
     assert not record.is_tombstone
 
 
+def test_each_put_parses_the_signer_document_once(monkeypatch):
+    from ssitls import ledger
+    store, did, keys = seeded_store()
+    fresh = LedgerStore()
+    parses = []
+    parse = ledger.DidDocument.from_json_dict
+
+    def counting(document):
+        parses.append(document)
+        return parse(document)
+
+    monkeypatch.setattr(ledger.DidDocument, "from_json_dict", counting)
+    fresh.put(store.get(did.method_specific_id))  # genesis
+    new_keys = generate_keypair(SignatureSuite.ED25519, RNG)
+    doc = new_did_document(did, new_keys.suite, new_keys.public_key)
+    fresh.put(LedgerRecord.document_record(did.method_specific_id, 1,
+                                           doc.to_json_dict()).signed(keys))
+    assert len(parses) == 2
+
+
 def test_sequence_continuity_enforced():
     store, did, keys = seeded_store()
     new_keys = generate_keypair(SignatureSuite.ED25519, RNG)
