@@ -8,6 +8,7 @@ order, so no general path building is attempted.
 from __future__ import annotations
 
 import datetime
+import functools
 from dataclasses import dataclass
 
 from cryptography import x509
@@ -116,19 +117,67 @@ def make_chain(suite: SignatureSuite, subject: str, rng: Rng = SYSTEM_RNG,
     return identity, der(root)
 
 
-def _verify_issued_by(cert: x509.Certificate, issuer: x509.Certificate) -> None:
+# Parsed certificates kept per process; one entry per DER encoding.
+CERTIFICATE_CACHE_SIZE = 256
+# Trusted-root indexes kept per process; one entry per root set.
+ROOT_SET_CACHE_SIZE = 16
+
+
+@dataclass(frozen=True)
+class ParsedCertificate:
+    """What validation reads from one certificate, decoded once per DER
+    encoding. Nothing here depends on the time or on the other links, so
+    every check that does still runs on each `verify_chain` call."""
+
+    cert: x509.Certificate
+    subject: x509.Name
+    issuer: x509.Name
+    public_key: object
+    is_ca: bool | None  # None when basic constraints are absent
+    not_before: datetime.datetime
+    not_after: datetime.datetime
+
+
+@functools.lru_cache(maxsize=CERTIFICATE_CACHE_SIZE)
+def parse_certificate(der: bytes) -> ParsedCertificate:
+    """Decode one DER certificate; a failure raises on every call, because
+    lru_cache stores no entry for it."""
+    try:
+        cert = x509.load_der_x509_certificate(der)
+        try:
+            is_ca = cert.extensions.get_extension_for_class(x509.BasicConstraints).value.ca
+        except x509.ExtensionNotFound:
+            is_ca = None
+        return ParsedCertificate(cert, cert.subject, cert.issuer, cert.public_key(), is_ca,
+                                 cert.not_valid_before_utc, cert.not_valid_after_utc)
+    except Exception as exc:
+        raise CertificateError(f"certificate does not parse: {exc}") from exc
+
+
+@functools.lru_cache(maxsize=ROOT_SET_CACHE_SIZE)
+def _root_index(roots_der: tuple[bytes, ...]) -> dict[x509.Name, tuple[ParsedCertificate, ...]]:
+    """Trusted roots by subject name; same-name roots share one entry."""
+    index: dict[x509.Name, tuple[ParsedCertificate, ...]] = {}
+    for der in roots_der:
+        root = parse_certificate(der)
+        index[root.subject] = index.get(root.subject, ()) + (root,)
+    return index
+
+
+def _verify_issued_by(cert: ParsedCertificate, issuer: ParsedCertificate) -> None:
     if cert.issuer != issuer.subject:
         raise CertificateError("issuer name mismatch")
-    pub = issuer.public_key()
+    pub = issuer.public_key
+    raw = cert.cert
     try:
         if isinstance(pub, ed25519.Ed25519PublicKey):
-            pub.verify(cert.signature, cert.tbs_certificate_bytes)
+            pub.verify(raw.signature, raw.tbs_certificate_bytes)
         elif isinstance(pub, ec.EllipticCurvePublicKey):
-            pub.verify(cert.signature, cert.tbs_certificate_bytes,
-                       ec.ECDSA(cert.signature_hash_algorithm))
+            pub.verify(raw.signature, raw.tbs_certificate_bytes,
+                       ec.ECDSA(raw.signature_hash_algorithm))
         elif isinstance(pub, rsa.RSAPublicKey):
-            pub.verify(cert.signature, cert.tbs_certificate_bytes,
-                       padding.PKCS1v15(), cert.signature_hash_algorithm)
+            pub.verify(raw.signature, raw.tbs_certificate_bytes,
+                       padding.PKCS1v15(), raw.signature_hash_algorithm)
         else:
             raise CertificateError(f"unsupported issuer key type {type(pub).__name__}")
     except InvalidSignature:
@@ -141,20 +190,19 @@ def verify_chain(chain_der: list[bytes], roots_der: list[bytes],
 
     Checks per link: signature by the next certificate, validity window,
     CA basic constraints on issuing certificates, and that the last link is
-    signed by a trusted root.
+    signed by a trusted root. Certificates are parsed once per process
+    (`parse_certificate`) and the roots indexed once per root set; every
+    check and every signature runs on each call.
     """
     if not chain_der:
         raise CertificateError("empty certificate chain")
     if at is None:
         at = datetime.datetime.now(datetime.timezone.utc)
-    try:
-        chain = [x509.load_der_x509_certificate(der) for der in chain_der]
-        roots = [x509.load_der_x509_certificate(der) for der in roots_der]
-    except Exception as exc:
-        raise CertificateError(f"certificate does not parse: {exc}") from exc
+    chain = [parse_certificate(der) for der in chain_der]
+    roots = _root_index(tuple(roots_der))
 
     for cert in chain:
-        if not (cert.not_valid_before_utc <= at <= cert.not_valid_after_utc):
+        if not (cert.not_before <= at <= cert.not_after):
             raise CertificateError(f"certificate outside validity window: {cert.subject}")
 
     for cert, issuer in zip(chain, chain[1:]):
@@ -165,31 +213,28 @@ def verify_chain(chain_der: list[bytes], roots_der: list[bytes],
     # link terminates the chain
     last = chain[-1]
     failure = CertificateError("chain does not terminate at a trusted root")
-    for root in roots:
-        if last.issuer == root.subject:
-            try:
-                _basic_ca_check(root)
-                _verify_issued_by(last, root)
-            except CertificateError as exc:
-                failure = exc
-                continue
-            return chain[0]
+    for root in roots.get(last.issuer, ()):
+        try:
+            _basic_ca_check(root)
+            _verify_issued_by(last, root)
+        except CertificateError as exc:
+            failure = exc
+            continue
+        return chain[0].cert
     raise failure
 
 
-def _basic_ca_check(cert: x509.Certificate) -> None:
-    try:
-        bc = cert.extensions.get_extension_for_class(x509.BasicConstraints).value
-    except x509.ExtensionNotFound:
+def _basic_ca_check(cert: ParsedCertificate) -> None:
+    if cert.is_ca is None:
         raise CertificateError(f"issuing certificate lacks basic constraints: {cert.subject}")
-    if not bc.ca:
+    if not cert.is_ca:
         raise CertificateError(f"issuing certificate is not a CA: {cert.subject}")
 
 
-def leaf_key(leaf: x509.Certificate) -> tuple[SignatureSuite, bytes]:
-    """Signature suite implied by a parsed leaf's key type, and the key in
-    the suite's wire form."""
-    pub = leaf.public_key()
+def leaf_key(leaf_der: bytes) -> tuple[SignatureSuite, bytes]:
+    """Signature suite implied by the leaf's key type, and the key in the
+    suite's wire form."""
+    pub = parse_certificate(leaf_der).public_key
     if isinstance(pub, ed25519.Ed25519PublicKey):
         suite = SignatureSuite.ED25519
     elif isinstance(pub, ec.EllipticCurvePublicKey):
@@ -203,8 +248,8 @@ def leaf_key(leaf: x509.Certificate) -> tuple[SignatureSuite, bytes]:
 
 def leaf_suite(leaf_der: bytes) -> SignatureSuite:
     """Signature suite implied by the leaf's key type."""
-    return leaf_key(x509.load_der_x509_certificate(leaf_der))[0]
+    return leaf_key(leaf_der)[0]
 
 
 def leaf_public_key_bytes(leaf_der: bytes) -> bytes:
-    return leaf_key(x509.load_der_x509_certificate(leaf_der))[1]
+    return leaf_key(leaf_der)[1]

@@ -18,7 +18,7 @@ import functools
 import hashlib
 import hmac as hmac_mod
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives import hashes, serialization
@@ -283,21 +283,28 @@ def verify(suite: SignatureSuite, public_key: bytes, content: bytes,
 
 @dataclass(frozen=True)
 class X25519KeyPair:
+    """One handshake's ephemeral key. `private` is the decoded key that
+    `generate_x25519` already built; a pair made from bytes alone (as in
+    the RFC 7748/8448 vectors) decodes `secret_key` when it exchanges."""
+
     secret_key: bytes
     public_key: bytes
+    private: x25519.X25519PrivateKey | None = field(default=None, compare=False, repr=False)
 
 
 def generate_x25519(rng: Rng = SYSTEM_RNG) -> X25519KeyPair:
     secret = rng.bytes(32)
-    pub = x25519.X25519PrivateKey.from_private_bytes(secret).public_key()
-    return X25519KeyPair(secret, pub.public_bytes_raw())
+    key = x25519.X25519PrivateKey.from_private_bytes(secret)
+    return X25519KeyPair(secret, key.public_key().public_bytes_raw(), key)
 
 
 def ecdhe_exchange(local: X25519KeyPair, peer_public: bytes) -> bytes:
     """x25519 shared secret; rejects the all-zero result."""
     if len(peer_public) != 32:
         raise KeyDecodeError("x25519 public key must be 32 bytes")
-    key = x25519.X25519PrivateKey.from_private_bytes(local.secret_key)
+    key = local.private
+    if key is None:
+        key = x25519.X25519PrivateKey.from_private_bytes(local.secret_key)
     try:
         shared = key.exchange(x25519.X25519PublicKey.from_public_bytes(peer_public))
     except ValueError as exc:

@@ -234,7 +234,14 @@ class SecureSession:
         self._records.send(ContentType.APPLICATION_DATA, data)
 
     def recv(self) -> bytes:
-        return self._stream.next_app_data()
+        """Next application-data record. A failed record sends its alert
+        (bad_record_mac for one that fails AEAD) before the abort is raised."""
+        try:
+            return self._stream.next_app_data()
+        except HandshakeAbort as exc:
+            if exc.alert is not None:
+                self._records.send_alert(exc.alert)
+            raise
 
     def close(self) -> None:
         self._records.send_alert(AlertDescription.CLOSE_NOTIFY, level=1)
@@ -411,7 +418,7 @@ class _Endpoint:
         try:
             with _timed(self.timers, "chain_verify"):
                 leaf = certs.verify_chain(msg.chain, list(self.config.x509_roots))
-                suite, public_key = certs.leaf_key(leaf)
+                suite, public_key = certs.leaf_key(msg.chain[0])
         except certs.CertificateError as exc:
             raise BadIdentity(str(exc))
         peer = PeerIdentity(kind="x509", x509_subject=leaf.subject.rfc4514_string())
@@ -656,6 +663,8 @@ class _Server(_Endpoint):
         config = self.config
         config.validate("server")
         rng = config.rng
+        # before the ClientHello arrives, so the keygen overlaps the client's
+        ephemeral = generate_x25519(rng)
 
         hello = self.recv_msg(HandshakeType.CLIENT_HELLO)
         if config.cipher_suite.code not in hello.cipher_suites:
@@ -670,7 +679,6 @@ class _Server(_Endpoint):
         params = hello.ssi_parameters()
         decision = negotiate_server_mode(params, config)
 
-        ephemeral = generate_x25519(rng)
         shared = self.shared_secret(ephemeral, client_public)
         sh = ServerHello(
             random=rng.bytes(32),
@@ -863,7 +871,8 @@ class TcpServer:
 class HandshakeServer(TcpServer):
     """TCP server running one server handshake per connection. The default
     handler echoes application data until the peer closes. `errors` keeps
-    every failed connection's exception."""
+    every failed connection's exception, without tracebacks, so a stored
+    failure does not pin its connection's frames."""
 
     def __init__(self, config: EndpointConfig | Callable[[], EndpointConfig],
                  host: str = "127.0.0.1", port: int = 0,
@@ -881,7 +890,19 @@ class HandshakeServer(TcpServer):
             self._handler(outcome)
         except (HandshakeAbort, ConfigError, OSError) as exc:
             logger.debug("connection dropped: %s", exc)
-            self.errors.append(exc)
+            self.errors.append(_without_tracebacks(exc))
+
+
+def _without_tracebacks(exc: BaseException) -> BaseException:
+    """`exc` with the traceback of it and of every cause and context cleared."""
+    pending, seen = [exc], set()
+    while pending:
+        e = pending.pop()
+        if e is not None and id(e) not in seen:
+            seen.add(id(e))
+            e.__traceback__ = None
+            pending += (e.__cause__, e.__context__)
+    return exc
 
 
 def echo_handler(outcome: HandshakeOutcome) -> None:

@@ -519,18 +519,25 @@ class TranscriptEntry:
 @dataclass
 class HandshakeTranscript:
     """Ordered raw handshake messages; the hash of any prefix drives keys,
-    Finished values and the two Verify signatures at that point."""
+    Finished values and the two Verify signatures at that point. One
+    running hash per cipher suite is fed each message as it is appended."""
 
     entries: list[TranscriptEntry] = field(default_factory=list)
+    _running: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def append(self, sender: str, raw: bytes) -> None:
         self.entries.append(TranscriptEntry(sender, raw))
+        for running in self._running.values():
+            running.update(raw)
 
     def all_bytes(self) -> bytes:
         return b"".join(e.raw for e in self.entries)
 
     def hash(self, cipher: CipherSuite) -> bytes:
-        return cipher.transcript_hash(self.all_bytes())
+        running = self._running.get(cipher)
+        if running is None:
+            running = self._running[cipher] = cipher.hash(self.all_bytes())
+        return running.copy().digest()
 
 
 @dataclass(frozen=True)

@@ -41,8 +41,12 @@ class HandshakeAbort(Exception):
     alert: AlertDescription | None = AlertDescription.INTERNAL_ERROR
 
     def __init__(self, detail: str = ""):
-        super().__init__(f"{self.kind}" + (f": {detail}" if detail else ""))
+        # args stay the constructor's, so a pickled abort rebuilds as it was
+        super().__init__(detail)
         self.detail = detail
+
+    def __str__(self) -> str:
+        return f"{self.kind}: {self.detail}" if self.detail else self.kind
 
 
 class PeerAlert(HandshakeAbort):
@@ -56,6 +60,7 @@ class PeerAlert(HandshakeAbort):
         except ValueError:
             name = str(description)
         super().__init__(name)
+        self.args = (description,)
         self.description = description
 
 
@@ -77,7 +82,8 @@ class BadRecordMac(RecordError):
 
 
 class RecordOverflow(RecordError):
-    """A record longer than 2^14 + 256 bytes (§5.2)."""
+    """A record longer than RFC 8446 allows: 2^14 bytes of plaintext
+    (§5.1), 2^14 + 256 bytes of ciphertext (§5.2)."""
     alert = AlertDescription.RECORD_OVERFLOW
 
 
@@ -162,7 +168,8 @@ class RecordLayer:
         content_type, version, length = _HEADER.unpack(header)
         if version != 0x0303:
             raise RecordError(f"bad record version 0x{version:04x}")
-        if length > MAX_FRAGMENT + 256:
+        protected = self._read is not None and content_type == ContentType.APPLICATION_DATA
+        if length > MAX_FRAGMENT + (256 if protected else 0):
             raise RecordOverflow(f"oversized record ({length} bytes)")
         body = self._read_exact(length)
         if self._read is None:

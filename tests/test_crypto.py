@@ -100,6 +100,28 @@ def test_ecdhe_symmetry_random_keys():
         assert ecdhe_exchange(a, b.public_key) == ecdhe_exchange(b, a.public_key)
 
 
+def test_generated_x25519_key_is_decoded_once(monkeypatch):
+    """A generated pair keeps its decoded key for the exchange; a pair made
+    from bytes alone decodes its secret when it exchanges."""
+    decodes = []
+    decode = crypto.x25519.X25519PrivateKey.from_private_bytes
+
+    def counting(data):
+        decodes.append(data)
+        return decode(data)
+
+    monkeypatch.setattr(crypto.x25519.X25519PrivateKey, "from_private_bytes",
+                        staticmethod(counting))
+    rng = DeterministicRng(7)
+    a, b = generate_x25519(rng), generate_x25519(rng)
+    assert ecdhe_exchange(a, b.public_key) == ecdhe_exchange(b, a.public_key)
+    assert decodes == [a.secret_key, b.secret_key]
+    assert a == X25519KeyPair(a.secret_key, a.public_key)  # the decoded key is not compared
+    alice = X25519KeyPair(RFC7748_ALICE_SK, RFC7748_ALICE_PK)
+    assert ecdhe_exchange(alice, RFC7748_BOB_PK) == RFC7748_SHARED
+    assert decodes[2:] == [RFC7748_ALICE_SK]
+
+
 def test_ecdhe_rejects_all_zero_peer():
     local = generate_x25519(DeterministicRng(1))
     with pytest.raises(ContributoryBehaviourError):

@@ -3,8 +3,10 @@ carries its own alert (RFC 8446 §6), each side ends promptly, and a nested
 ledger channel's failure is reported as a resolution failure, never as the
 handshake peer's."""
 
+import pickle
 import socket
 import struct
+import threading
 import time
 
 import pytest
@@ -12,6 +14,7 @@ import pytest
 from ssitls import cli, handshake, record
 from ssitls.certs import make_chain
 from ssitls.crypto import MANDATORY_CIPHER_SUITE, SignatureSuite
+from ssitls.record import MAX_FRAGMENT
 from ssitls.handshake import (
     BadIdentity,
     BadKeyShare,
@@ -20,6 +23,7 @@ from ssitls.handshake import (
     EndpointConfig,
     FinishedMismatch,
     HandshakeAbort,
+    handshake_pair,
     Mode,
     NegotiationMismatch,
     ResolutionFailure,
@@ -74,6 +78,20 @@ def test_every_failure_is_a_handshake_abort_with_its_own_alert():
     assert {HandshakeAbort, *_subclasses(HandshakeAbort)} == set(EXPECTED_ALERTS)
     for cls, alert in EXPECTED_ALERTS.items():
         assert issubclass(cls, HandshakeAbort) and cls.alert == alert, cls
+
+
+@pytest.mark.parametrize("cls", sorted(EXPECTED_ALERTS, key=lambda c: c.__name__))
+def test_every_abort_survives_pickling(cls):
+    exc = PeerAlert(A.CERTIFICATE_REVOKED) if cls is PeerAlert else cls("what went wrong")
+    copy = pickle.loads(pickle.dumps(exc))
+    assert type(copy) is cls
+    assert (str(copy), copy.kind, copy.alert, copy.detail) == \
+        (str(exc), exc.kind, exc.alert, exc.detail)
+    if cls is PeerAlert:
+        assert str(copy) == "peer_alert: certificate_revoked"
+        assert copy.description == A.CERTIFICATE_REVOKED
+    else:
+        assert str(copy) == f"{cls.kind}: what went wrong"
 
 
 @pytest.mark.parametrize("exc,code", [
@@ -138,6 +156,12 @@ RECORD_FAULTS = {
         _header(ContentType.APPLICATION_DATA, 17) + bytes(17))),
     "bad-version": (RecordError, False, lambda w: w.transport.sendall(
         _header(ContentType.HANDSHAKE, 4, version=0x0200) + bytes(4))),
+    # plaintext may not exceed 2^14 bytes (RFC 8446 §5.1) ...
+    "plaintext-over-2^14": (RecordOverflow, False, lambda w: w.transport.sendall(
+        _header(ContentType.HANDSHAKE, MAX_FRAGMENT + 1) + bytes(MAX_FRAGMENT + 1))),
+    # ... while ciphertext may reach 2^14 + 256 (§5.2): this one is read, then fails AEAD
+    "ciphertext-at-2^14+256": (BadRecordMac, True, lambda w: w.transport.sendall(
+        _header(ContentType.APPLICATION_DATA, MAX_FRAGMENT + 256) + bytes(MAX_FRAGMENT + 256))),
 }
 
 
@@ -156,13 +180,71 @@ def test_record_layer_names_each_fault(fault):
 @pytest.mark.parametrize("raw,alert,expected", [
     (_header(ContentType.HANDSHAKE, 20_000) + bytes(20_000), A.RECORD_OVERFLOW, RecordOverflow),
     (_header(ContentType.APPLICATION_DATA, 5) + b"hello", A.UNEXPECTED_MESSAGE, UnexpectedRecord),
-], ids=["oversized", "cleartext-application-data"])
+    (_header(ContentType.HANDSHAKE, 16_584) + bytes(16_584), A.RECORD_OVERFLOW, RecordOverflow),
+], ids=["oversized", "cleartext-application-data", "plaintext-over-2^14"])
 def test_server_alerts_a_bad_first_record(ed_universe, raw, alert, expected):
     with handshake.HandshakeServer(ed_universe.server_config(), conn_timeout=5) as server:
         with socket.create_connection(server.address, timeout=5) as sock:
             sock.sendall(raw)
             assert RecordLayer(sock).recv() == (ContentType.ALERT, bytes([2, alert]))
     assert [type(e) for e in server.errors] == [expected]
+
+
+def test_a_failed_record_after_the_handshake_is_alerted(ed_universe):
+    """Garbage application data after the handshake: the receiver raises
+    BadRecordMac and sends bad_record_mac, so the sender's next recv ends
+    at once instead of waiting out its timeout."""
+    client, server = handshake_pair(ed_universe.client_config(Mode.X509),
+                                    ed_universe.server_config(), timeout=5)
+    box = {}
+
+    def receive():
+        try:
+            server.session.recv()
+        except HandshakeAbort as exc:
+            box["server"] = exc
+
+    t = threading.Thread(target=receive, daemon=True)
+    t.start()
+    start = time.monotonic()
+    client.session._records.transport.sendall(
+        _header(ContentType.APPLICATION_DATA, 40) + bytes(40))
+    with pytest.raises(PeerAlert) as info:
+        client.session.recv()
+    assert time.monotonic() - start < 1
+    assert info.value.description == A.BAD_RECORD_MAC
+    t.join(1)
+    assert type(box["server"]) is BadRecordMac
+
+
+def _linked(exc):
+    """`exc` and every exception along its cause and context chains."""
+    pending = [exc]
+    while pending:
+        e = pending.pop()
+        if e is not None:
+            yield e
+            pending += (e.__cause__, e.__context__)
+
+
+def test_stored_server_failures_keep_no_tracebacks(ed_universe):
+    """Failed connections are kept with their type and alert, but without
+    the tracebacks that would pin each connection's frames."""
+    overflow = _header(ContentType.HANDSHAKE, 20_000) + bytes(20_000)
+    with handshake.HandshakeServer(ed_universe.server_config(), conn_timeout=0.2) as server:
+        for _ in range(3):
+            with socket.create_connection(server.address, timeout=5) as sock:
+                sock.sendall(overflow)
+                RecordLayer(sock).recv()
+        for _ in range(2):  # a stalled peer: an abort chained to its timeout
+            with socket.create_connection(server.address, timeout=5) as sock:
+                RecordLayer(sock).recv()
+    assert [type(e) for e in server.errors] == [RecordOverflow] * 3 + [HandshakeAbort] * 2
+    assert [e.alert for e in server.errors] == [A.RECORD_OVERFLOW] * 3 + [A.INTERNAL_ERROR] * 2
+    assert all(isinstance(e.__cause__, TimeoutError) for e in server.errors[3:])
+    for error in server.errors:
+        for exc in _linked(error):
+            assert exc.__traceback__ is None, (error, exc)
 
 
 # ---------------------------------------------------------------------------

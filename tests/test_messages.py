@@ -6,7 +6,7 @@ import random
 import pytest
 
 from ssitls import messages
-from ssitls.crypto import SignatureSuite
+from ssitls.crypto import CipherSuite, SignatureSuite
 from ssitls.handshake import Mode, handshake_pair
 from ssitls.messages import (
     AuthnMode,
@@ -224,6 +224,27 @@ def test_transcript_hash_is_prefix_deterministic():
     t2 = HandshakeTranscript()
     t2.append("server", encode(Finished(bytes(48))))  # sender does not affect hash
     assert h1 == t2.hash(CipherSuite.TLS_AES_256_GCM_SHA384)
+
+
+@pytest.mark.parametrize("cipher", list(CipherSuite))
+def test_running_transcript_hash_matches_a_full_rehash(ed_universe, monkeypatch, cipher):
+    """After every append on both sides of a full mutual handshake, the
+    running hash equals a hash of every byte appended so far."""
+    checks = []
+    append = HandshakeTranscript.append
+
+    def checked(self, sender, raw):
+        append(self, sender, raw)
+        checks.append((self.hash(cipher), cipher.transcript_hash(self.all_bytes())))
+
+    monkeypatch.setattr(HandshakeTranscript, "append", checked)
+    u = ed_universe
+    client, server = handshake_pair(
+        u.client_config(Mode.VC, cipher_suite=cipher),
+        u.server_config(request_client_auth=True, cipher_suite=cipher))
+    assert client.cipher is cipher
+    assert len(checks) == len(client.transcript.entries) + len(server.transcript.entries)
+    assert all(got == want for got, want in checks)
 
 
 def test_dump_renders_every_type():
