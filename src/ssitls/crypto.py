@@ -376,9 +376,9 @@ def hkdf_expand_label(cipher: CipherSuite, secret: bytes, label: bytes,
 
 
 def derive_secret(cipher: CipherSuite, secret: bytes, label: bytes,
-                  transcript: bytes) -> bytes:
-    return hkdf_expand_label(cipher, secret, label,
-                             cipher.transcript_hash(transcript), cipher.hash_len)
+                  transcript_hash: bytes) -> bytes:
+    """RFC 8446 section 7.1 Derive-Secret, given Transcript-Hash(Messages)."""
+    return hkdf_expand_label(cipher, secret, label, transcript_hash, cipher.hash_len)
 
 
 @dataclass(frozen=True)
@@ -403,26 +403,28 @@ class KeySchedule:
         self.master_secret: bytes | None = None
 
     def inject_ecdhe(self, shared_secret: bytes) -> None:
-        derived = derive_secret(self.cipher, self.early_secret, b"derived", b"")
+        empty = self.cipher.transcript_hash(b"")
+        derived = derive_secret(self.cipher, self.early_secret, b"derived", empty)
         self.handshake_secret = hkdf_extract(self.cipher, derived, shared_secret)
-        derived2 = derive_secret(self.cipher, self.handshake_secret, b"derived", b"")
+        derived2 = derive_secret(self.cipher, self.handshake_secret, b"derived", empty)
         self.master_secret = hkdf_extract(self.cipher, derived2, bytes(self.cipher.hash_len))
 
-    def handshake_traffic_secrets(self, transcript_to_server_hello: bytes) -> tuple[bytes, bytes]:
-        assert self.handshake_secret is not None
-        c = derive_secret(self.cipher, self.handshake_secret, b"c hs traffic",
-                          transcript_to_server_hello)
-        s = derive_secret(self.cipher, self.handshake_secret, b"s hs traffic",
-                          transcript_to_server_hello)
-        return c, s
+    def handshake_traffic_secrets(self, transcript_hash: bytes) -> tuple[bytes, bytes]:
+        """(client, server) secrets over the hash of the transcript through
+        ServerHello."""
+        return self._traffic_secrets(self.handshake_secret, b"hs traffic", transcript_hash)
 
-    def app_traffic_secrets(self, transcript_to_server_finished: bytes) -> tuple[bytes, bytes]:
-        assert self.master_secret is not None
-        c = derive_secret(self.cipher, self.master_secret, b"c ap traffic",
-                          transcript_to_server_finished)
-        s = derive_secret(self.cipher, self.master_secret, b"s ap traffic",
-                          transcript_to_server_finished)
-        return c, s
+    def app_traffic_secrets(self, transcript_hash: bytes) -> tuple[bytes, bytes]:
+        """(client, server) secrets over the hash of the transcript through
+        the server Finished."""
+        return self._traffic_secrets(self.master_secret, b"ap traffic", transcript_hash)
+
+    def _traffic_secrets(self, secret: bytes | None, label: bytes,
+                         transcript_hash: bytes) -> tuple[bytes, bytes]:
+        if secret is None:
+            raise CryptoError("traffic secrets need the ECDHE input first")
+        return (derive_secret(self.cipher, secret, b"c " + label, transcript_hash),
+                derive_secret(self.cipher, secret, b"s " + label, transcript_hash))
 
 
 def traffic_keys(cipher: CipherSuite, secret: bytes) -> tuple[bytes, bytes]:
@@ -440,34 +442,6 @@ def finished_mac(cipher: CipherSuite, base_key: bytes, transcript_hash: bytes) -
     """RFC 8446 section 4.4.4 verify_data over a traffic secret."""
     finished_key = hkdf_expand_label(cipher, base_key, b"finished", b"", cipher.hash_len)
     return hmac_mod.new(finished_key, transcript_hash, cipher.hash_name).digest()
-
-
-def derive_session_keys(shared_secret: bytes, transcript_messages,
-                        cipher: CipherSuite = MANDATORY_CIPHER_SUITE) -> SessionKeys:
-    """Run the full ladder over an ordered list of raw handshake messages.
-
-    `transcript_messages` must at least reach ServerHello; application
-    secrets additionally require the server Finished (the first Finished in
-    transcript order). Each entry is one encoded message, type byte first.
-    """
-    msgs = list(transcript_messages)
-    sh_end = fin_end = None
-    acc = b""
-    for raw in msgs:
-        acc += raw
-        if raw[:1] == b"\x02" and sh_end is None:
-            sh_end = acc
-        if raw[:1] == b"\x14" and fin_end is None:
-            fin_end = acc
-    if sh_end is None:
-        raise CryptoError("transcript does not contain a ServerHello")
-    schedule = KeySchedule(cipher)
-    schedule.inject_ecdhe(shared_secret)
-    c_hs, s_hs = schedule.handshake_traffic_secrets(sh_end)
-    if fin_end is None:
-        raise CryptoError("transcript does not contain a server Finished")
-    c_ap, s_ap = schedule.app_traffic_secrets(fin_end)
-    return SessionKeys(c_hs, s_hs, c_ap, s_ap, cipher)
 
 
 # ---------------------------------------------------------------------------

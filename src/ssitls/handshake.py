@@ -569,7 +569,7 @@ class _Client(_Endpoint):
 
         schedule = KeySchedule(self.cipher)
         schedule.inject_ecdhe(shared)
-        c_hs, s_hs = schedule.handshake_traffic_secrets(self.transcript.all_bytes())
+        c_hs, s_hs = schedule.handshake_traffic_secrets(self.transcript_hash())
         self.records.protect_reads(self.cipher, s_hs)
         self.records.protect_writes(self.cipher, c_hs)
 
@@ -596,7 +596,7 @@ class _Client(_Endpoint):
             msg, proposal.did_methods if proposal is not None else ())
 
         self.check_finished(s_hs)
-        c_ap, s_ap = schedule.app_traffic_secrets(self.transcript.all_bytes())
+        c_ap, s_ap = schedule.app_traffic_secrets(self.transcript_hash())
         self.records.protect_reads(self.cipher, s_ap)
 
         if client_auth is not None:
@@ -694,7 +694,7 @@ class _Server(_Endpoint):
 
         schedule = KeySchedule(self.cipher)
         schedule.inject_ecdhe(shared)
-        c_hs, s_hs = schedule.handshake_traffic_secrets(self.transcript.all_bytes())
+        c_hs, s_hs = schedule.handshake_traffic_secrets(self.transcript_hash())
         self.records.protect_writes(self.cipher, s_hs)
         self.records.protect_reads(self.cipher, c_hs)
 
@@ -712,7 +712,7 @@ class _Server(_Endpoint):
         self.send_identity(decision.server_auth)
 
         self.send_finished(s_hs)
-        c_ap, s_ap = schedule.app_traffic_secrets(self.transcript.all_bytes())
+        c_ap, s_ap = schedule.app_traffic_secrets(self.transcript_hash())
         self.records.protect_writes(self.cipher, s_ap)
 
         if decision.client_auth is None:

@@ -591,26 +591,32 @@ def did_resolve(ledger, did: Did) -> DidDocument | Revoked:
 
 
 def did_update(ledger, did: Did, current_keys: KeyPair, new_keys: KeyPair) -> Did:
-    """Rotate to `new_keys`; the record is signed with the outgoing key."""
+    """Rotate to `new_keys`; the record is signed with the outgoing key. The
+    read of the latest record and the write share one ledger session, so a
+    `LedgerClient` pays one channel for the rotation."""
     from .ledger import LedgerRecord
 
-    latest = ledger.get(did.method_specific_id)
-    if latest.is_tombstone:
-        raise ControlError("DID is deactivated")
-    document = new_did_document(did, new_keys.suite, new_keys.public_key)
-    record = LedgerRecord.document_record(did.method_specific_id,
-                                          latest.sequence + 1,
-                                          document.to_json_dict())
-    ledger.put(record.signed(current_keys))
+    with ledger.session() as session:
+        latest = session.get(did.method_specific_id)
+        if latest.is_tombstone:
+            raise ControlError("DID is deactivated")
+        document = new_did_document(did, new_keys.suite, new_keys.public_key)
+        record = LedgerRecord.document_record(did.method_specific_id,
+                                              latest.sequence + 1,
+                                              document.to_json_dict())
+        session.put(record.signed(current_keys))
     return did
 
 def did_deactivate(ledger, did: Did, current_keys: KeyPair) -> bool:
-    """Terminal tombstone; repeated calls acknowledge without a new record."""
+    """Terminal tombstone; repeated calls acknowledge without a new record.
+    The read and the write share one ledger session, as in `did_update`."""
     from .ledger import LedgerRecord
 
-    latest = ledger.get(did.method_specific_id)
-    if latest.is_tombstone:
-        return True
-    record = LedgerRecord.tombstone_record(did.method_specific_id, latest.sequence + 1)
-    ledger.put(record.signed(current_keys))
+    with ledger.session() as session:
+        latest = session.get(did.method_specific_id)
+        if latest.is_tombstone:
+            return True
+        record = LedgerRecord.tombstone_record(did.method_specific_id,
+                                               latest.sequence + 1)
+        session.put(record.signed(current_keys))
     return True

@@ -12,9 +12,11 @@ canonical-JSON body. Requests are {"op": "get"|"put", ...}.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import logging
+import os
 import socket
 import threading
 from dataclasses import dataclass, replace
@@ -114,10 +116,11 @@ class LedgerRecord:
 class LedgerStore:
     """Append-only log with an in-memory index. `path=None` keeps the log
     purely in memory; otherwise the log file is replayed on start and every
-    accepted record is appended to it.
+    accepted record is appended to it before it is indexed, so the store
+    never serves a record its log lacks.
 
-    The store itself satisfies the resolver-client interface (get/put), so
-    tests can resolve directly against it without a network hop.
+    The store itself satisfies the resolver-client interface (get/put and
+    session), so tests can resolve directly against it without a network hop.
     """
 
     def __init__(self, path: str | Path | None = None):
@@ -128,7 +131,9 @@ class LedgerStore:
         if self._path is not None:
             if self._path.exists():
                 self._replay()
-            self._log_fh = open(self._path, "ab")
+            # unbuffered: a failed append leaves no bytes behind to be
+            # flushed after a later record
+            self._log_fh = open(self._path, "ab", buffering=0)
 
     def _replay(self) -> None:
         data = self._path.read_bytes()
@@ -143,12 +148,13 @@ class LedgerStore:
             try:
                 obj = json.loads(data[offset:offset + length])
                 record = LedgerRecord.from_json_dict(obj)
-                self._validate_and_index(record)
+                self._validate(record)
             except (LedgerError, ValueError) as exc:
                 raise LedgerCorruption(f"log replay failed: {exc}") from exc
+            self._index(record)
             offset += length
 
-    def _validate_and_index(self, record: LedgerRecord) -> None:
+    def _validate(self, record: LedgerRecord) -> None:
         shape_ok = (set(record.payload.keys()) == {"document"}
                     or record.payload == {"tombstone": True})
         if not shape_ok:
@@ -182,17 +188,31 @@ class LedgerStore:
                 raise LedgerRejected("document id does not match the record id")
         if not verify(suite, public_key, record.signing_bytes(), record.author_signature):
             raise LedgerRejected("record is not signed by the controlling key")
+
+    def _index(self, record: LedgerRecord) -> None:
         self._records.setdefault(record.method_specific_id, []).append(record)
+
+    def _append(self, record: LedgerRecord) -> None:
+        """Write the record's whole frame to the log; on a failed write, cut
+        the log back to its previous length and re-raise."""
+        body = canonical_json(record.to_json_dict())
+        frame = memoryview(len(body).to_bytes(4, "big") + body)
+        end = self._log_fh.seek(0, os.SEEK_END)
+        try:
+            while frame:
+                frame = frame[self._log_fh.write(frame):]
+        except OSError:
+            self._log_fh.truncate(end)
+            raise
 
     # -- client-facing operations -------------------------------------------
 
     def put(self, record: LedgerRecord) -> None:
         with self._lock:
-            self._validate_and_index(record)
+            self._validate(record)
             if self._log_fh is not None:
-                body = canonical_json(record.to_json_dict())
-                self._log_fh.write(len(body).to_bytes(4, "big") + body)
-                self._log_fh.flush()
+                self._append(record)
+            self._index(record)
 
     def get(self, method_specific_id: str) -> LedgerRecord:
         with self._lock:
@@ -200,6 +220,10 @@ class LedgerStore:
             if not records:
                 raise DidNotFound(method_specific_id)
             return records[-1]
+
+    def session(self) -> contextlib.AbstractContextManager["LedgerStore"]:
+        """The store itself: it has no channel to share."""
+        return contextlib.nullcontext(self)
 
     def records(self, method_specific_id: str) -> tuple[LedgerRecord, ...]:
         with self._lock:
@@ -333,9 +357,11 @@ class LedgerNode(handshake.TcpServer):
 class LedgerClient:
     """Resolver-side access to a ledger node.
 
-    Every request opens a fresh connection (and, in authenticated mode, a
-    fresh original handshake): resolution cost deliberately includes the
-    secure-channel setup, with no caching or resumption.
+    Every DID operation gets one fresh connection (and, in authenticated
+    mode, one fresh original handshake): a lone `get` or `put` opens its own,
+    and the requests made inside `session()` share one. Resolution cost
+    deliberately includes the secure-channel setup, with no caching or
+    resumption, and no channel outlives the operation that opened it.
     """
 
     def __init__(self, host: str, port: int,
@@ -365,22 +391,38 @@ class LedgerClient:
         if not response.get("ok"):
             raise LedgerRejected(response.get("error", "rejected"))
 
+    @contextlib.contextmanager
+    def session(self):
+        """A client whose requests share one fresh channel, opened by its
+        first request and closed when the block exits."""
+        session = _LedgerSession(self)
+        try:
+            yield session
+        finally:
+            session.close()
+
+    def _request(self, request: dict) -> dict:
+        with self.session() as session:
+            return session._request(request)
+
+
+class _LedgerSession(LedgerClient):
+    """The client `LedgerClient.session()` yields. It inherits `get` and
+    `put` unchanged and owns the open channel; unlike `LedgerClient`, it is
+    not meant to be pickled."""
+
+    def __init__(self, client: LedgerClient):
+        super().__init__(client.host, client.port, client.trust_anchor,
+                         client.insecure_plaintext, client.timeout)
+        self._sock: socket.socket | None = None
+        self._frames: FrameIO | None = None
+
     def _request(self, request: dict) -> dict:
         try:
-            sock = socket.create_connection((self.host, self.port), timeout=self.timeout)
-        except OSError as exc:
-            raise DidResolutionError(f"cannot reach ledger node: {exc}") from exc
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        try:
-            if self.insecure_plaintext:
-                frames = socket_frames(sock)
-            else:
-                config = handshake.EndpointConfig(
-                    preferred_mode=handshake.Mode.X509,
-                    x509_roots=(self.trust_anchor,))
-                frames = session_frames(handshake.run_client(config, sock).session)
-            frames.send_frame(request)
-            response = frames.recv_frame()
+            if self._frames is None:
+                self._frames = self._open()
+            self._frames.send_frame(request)
+            response = self._frames.recv_frame()
             if response is None:
                 raise DidResolutionError("ledger node closed the connection")
             return response
@@ -391,8 +433,25 @@ class LedgerClient:
             raise DidResolutionError(str(exc)) from exc
         except OSError as exc:
             raise DidResolutionError(f"ledger transport failure: {exc}") from exc
-        finally:
+
+    def _open(self) -> FrameIO:
+        try:
+            self._sock = socket.create_connection((self.host, self.port),
+                                                  timeout=self.timeout)
+        except OSError as exc:
+            raise DidResolutionError(f"cannot reach ledger node: {exc}") from exc
+        self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        if self.insecure_plaintext:
+            return socket_frames(self._sock)
+        config = handshake.EndpointConfig(
+            preferred_mode=handshake.Mode.X509,
+            x509_roots=(self.trust_anchor,))
+        return session_frames(handshake.run_client(config, self._sock).session)
+
+    def close(self) -> None:
+        if self._sock is not None:
             try:
-                sock.close()
+                self._sock.close()
             except OSError:
                 pass
+            self._sock = self._frames = None

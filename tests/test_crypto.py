@@ -19,7 +19,6 @@ from ssitls.crypto import (
     SignatureSuite,
     X25519KeyPair,
     build_signed_content,
-    derive_session_keys,
     ecdhe_exchange,
     finished_mac,
     generate_keypair,
@@ -300,7 +299,7 @@ def test_rfc8448_handshake_traffic_secrets():
     assert schedule.early_secret == RFC8448_EARLY_SECRET
     schedule.inject_ecdhe(RFC8448_ECDHE_SHARED)
     c, s = schedule.handshake_traffic_secrets(
-        RFC8448_CLIENT_HELLO + RFC8448_SERVER_HELLO)
+        SHA256_SUITE.transcript_hash(RFC8448_CLIENT_HELLO + RFC8448_SERVER_HELLO))
     assert c == RFC8448_C_HS_TRAFFIC
     assert s == RFC8448_S_HS_TRAFFIC
 
@@ -336,43 +335,52 @@ def test_extract_is_hmac():
         == hmac.new(b"salt", b"ikm", "sha384").digest()
 
 
-def test_derive_session_keys_deterministic_and_mutation_sensitive():
+def _schedule_secrets(shared: bytes, msgs: list[bytes]) -> tuple[bytes, ...]:
+    """(c hs, s hs, c ap, s ap) over a ClientHello, ServerHello, Certificate,
+    Finished transcript, each pair fed the hash of its transcript prefix."""
+    schedule = KeySchedule(SHA384_SUITE)
+    schedule.inject_ecdhe(shared)
+    hs = schedule.handshake_traffic_secrets(SHA384_SUITE.transcript_hash(b"".join(msgs[:2])))
+    ap = schedule.app_traffic_secrets(SHA384_SUITE.transcript_hash(b"".join(msgs)))
+    return hs + ap
+
+
+def test_key_schedule_deterministic_and_transcript_sensitive():
     rng = DeterministicRng(5)
     msgs = [b"\x01" + b"\x00\x00\x20" + rng.bytes(32),
             b"\x02" + b"\x00\x00\x20" + rng.bytes(32),
             b"\x0b" + b"\x00\x00\x10" + rng.bytes(16),
             b"\x14" + b"\x00\x00\x30" + rng.bytes(48)]
     shared = rng.bytes(32)
-    keys1 = derive_session_keys(shared, msgs)
-    keys2 = derive_session_keys(shared, msgs)
+    keys1 = _schedule_secrets(shared, msgs)
+    keys2 = _schedule_secrets(shared, msgs)
     assert keys1 == keys2
-    assert keys1.negotiated_aead is SHA384_SUITE
-    assert {len(keys1.handshake_secret_client), len(keys1.app_secret_server)} == {48}
+    assert {len(k) for k in keys1} == {48}
+    assert len(set(keys1)) == 4
 
     # a flip in the Hello flight changes every secret
     mutated = [bytearray(m) for m in msgs]
     mutated[0][7] ^= 0x40
-    keys3 = derive_session_keys(shared, [bytes(m) for m in mutated])
-    for attr in ("handshake_secret_client", "handshake_secret_server",
-                 "app_secret_client", "app_secret_server"):
-        assert getattr(keys1, attr) != getattr(keys3, attr)
+    keys3 = _schedule_secrets(shared, [bytes(m) for m in mutated])
+    assert all(a != b for a, b in zip(keys1, keys3))
 
     # a flip after ServerHello leaves handshake secrets alone but moves
     # the application secrets
     mutated = [bytearray(m) for m in msgs]
     mutated[2][7] ^= 0x40
-    keys4 = derive_session_keys(shared, [bytes(m) for m in mutated])
-    assert keys4.handshake_secret_client == keys1.handshake_secret_client
-    assert keys4.app_secret_client != keys1.app_secret_client
-    assert keys4.app_secret_server != keys1.app_secret_server
+    keys4 = _schedule_secrets(shared, [bytes(m) for m in mutated])
+    assert keys4[:2] == keys1[:2]
+    assert keys4[2] != keys1[2]
+    assert keys4[3] != keys1[3]
 
 
-def test_derive_session_keys_requires_server_hello_and_finished():
+def test_key_schedule_requires_the_ecdhe_input():
+    schedule = KeySchedule(SHA384_SUITE)
+    transcript_hash = SHA384_SUITE.transcript_hash(b"\x01\x00\x00\x01\xaa")
     with pytest.raises(crypto.CryptoError):
-        derive_session_keys(b"\x01" * 32, [b"\x01\x00\x00\x01\xaa"])
+        schedule.handshake_traffic_secrets(transcript_hash)
     with pytest.raises(crypto.CryptoError):
-        derive_session_keys(b"\x01" * 32, [b"\x01\x00\x00\x01\xaa",
-                                           b"\x02\x00\x00\x01\xbb"])
+        schedule.app_traffic_secrets(transcript_hash)
 
 
 def test_finished_mac_properties():

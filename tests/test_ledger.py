@@ -1,13 +1,19 @@
 """Ledger store continuity rules, log persistence, the network node in both
-channel modes, and concurrent access."""
+channel modes, one channel per DID operation, and concurrent access."""
 
+import errno
+import pickle
+import socket
 import threading
+import time
 
 import pytest
 
+from ssitls import handshake, ledger
 from ssitls.certs import make_chain
 from ssitls.crypto import DeterministicRng, SignatureSuite, generate_keypair
 from ssitls.identity import (
+    ControlError,
     Did,
     DidNotFound,
     DidResolutionError,
@@ -25,6 +31,7 @@ from ssitls.ledger import (
     LedgerRecord,
     LedgerRejected,
     LedgerStore,
+    session_frames,
 )
 
 RNG = DeterministicRng(31337)
@@ -150,6 +157,45 @@ def test_corrupt_log_refuses_to_start(tmp_path):
         LedgerStore(path)
 
 
+class _FullDiskOnce:
+    """Log file stand-in whose next write stores half of what it is given
+    and then fails as a full disk does; later writes pass through."""
+
+    def __init__(self, log):
+        self._log = log
+        self._armed = True
+
+    def write(self, data):
+        if self._armed:
+            self._armed = False
+            self._log.write(bytes(data)[:len(data) // 2])
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return self._log.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self._log, name)
+
+
+def test_failed_log_append_is_neither_served_nor_logged(tmp_path):
+    path = tmp_path / "ledger.log"
+    store = LedgerStore(path)
+    did, keys = did_create(store, SignatureSuite.ED25519, RNG)
+    new_keys = generate_keypair(SignatureSuite.ED25519, RNG)
+    store._log_fh = _FullDiskOnce(store._log_fh)
+    with pytest.raises(OSError):
+        did_update(store, did, keys, new_keys)
+    assert store.get(did.method_specific_id).sequence == 0
+    assert did_resolve(store, did).authentication_key()[1] == keys.public_key
+
+    did_update(store, did, keys, new_keys)  # the same rotation, now logged
+    before = store.records(did.method_specific_id)
+    assert [r.sequence for r in before] == [0, 1]
+    store.close()
+    restarted = LedgerStore(path)
+    assert restarted.records(did.method_specific_id) == before
+    assert did_resolve(restarted, did).authentication_key()[1] == new_keys.public_key
+
+
 def test_interleaved_put_get_consistency():
     store = LedgerStore()
     errors = []
@@ -251,3 +297,118 @@ def test_node_restart_recovers_from_log(tmp_path):
     with LedgerNode(restarted, node_identity) as node:
         client = LedgerClient(*node.address, trust_anchor=node_root)
         assert did_resolve(client, did).id == did
+
+
+# ---------------------------------------------------------------------------
+# One channel per DID operation
+# ---------------------------------------------------------------------------
+
+NODE_IDENTITY, NODE_ROOT = make_chain(ECDSA, "ledger.node", RNG)
+CLIENT_ATTRIBUTES = {"host", "port", "trust_anchor", "insecure_plaintext", "timeout"}
+
+
+class _Channels:
+    """Counts the ledger clients' channel handshakes and keeps their sockets."""
+
+    def __init__(self, monkeypatch):
+        self.handshakes = 0
+        self.sockets: list[socket.socket] = []
+        run_client, connect = handshake.run_client, socket.create_connection
+
+        def counting_run_client(config, sock):
+            self.handshakes += 1
+            return run_client(config, sock)
+
+        def recording_connect(*args, **kwargs):
+            sock = connect(*args, **kwargs)
+            self.sockets.append(sock)
+            return sock
+
+        monkeypatch.setattr(handshake, "run_client", counting_run_client)
+        monkeypatch.setattr(ledger.socket, "create_connection", recording_connect)
+
+    def one(self, operation, *args):
+        """Run one DID operation; it must take exactly one channel and leave
+        no connection open, whether it returns or raises."""
+        self.handshakes, self.sockets = 0, []
+        try:
+            return operation(*args)
+        finally:
+            assert self.handshakes == 1
+            assert len(self.sockets) == 1
+            assert all(sock.fileno() == -1 for sock in self.sockets)
+
+
+@pytest.fixture()
+def channels(monkeypatch):
+    return _Channels(monkeypatch)
+
+
+@pytest.fixture()
+def node():
+    with LedgerNode(LedgerStore(), NODE_IDENTITY) as node:
+        yield node
+
+
+def node_client(node) -> LedgerClient:
+    return LedgerClient(*node.address, trust_anchor=NODE_ROOT)
+
+
+def test_each_did_operation_takes_one_channel_and_closes_it(node, channels):
+    client = node_client(node)
+    did, keys = channels.one(did_create, client, SignatureSuite.ED25519, RNG)
+    assert channels.one(did_resolve, client, did).authentication_key()[1] == keys.public_key
+    new_keys = generate_keypair(SignatureSuite.ED25519, RNG)
+    assert channels.one(did_update, client, did, keys, new_keys) == did
+    assert channels.one(did_resolve, client, did).authentication_key()[1] == new_keys.public_key
+    assert channels.one(did_deactivate, client, did, new_keys) is True
+    assert channels.one(did_deactivate, client, did, new_keys) is True  # acknowledged
+    assert [r.sequence for r in node.store.records(did.method_specific_id)] == [0, 1, 2]
+
+
+def test_update_of_a_deactivated_did_is_refused_and_closes_its_channel(node, channels):
+    client = node_client(node)
+    did, keys = did_create(client, SignatureSuite.ED25519, RNG)
+    did_deactivate(client, did, keys)
+    with pytest.raises(ControlError):
+        channels.one(did_update, client, did, keys,
+                     generate_keypair(SignatureSuite.ED25519, RNG))
+
+
+class _OneAnswerNode(LedgerNode):
+    """Answers the first request of each connection, then drops it."""
+
+    def serve_one(self, conn):
+        config = handshake.EndpointConfig(x509_identity=self._identity)
+        frames = session_frames(handshake.run_server(config, conn).session)
+        frames.send_frame(self._handle(frames.recv_frame()))
+
+
+def test_channel_dropped_after_the_get_fails_the_update_promptly():
+    store, did, keys = seeded_store()
+    with _OneAnswerNode(store, NODE_IDENTITY) as node:
+        client = node_client(node)
+        start = time.monotonic()
+        with pytest.raises(DidResolutionError):
+            did_update(client, did, keys, generate_keypair(SignatureSuite.ED25519, RNG))
+        assert time.monotonic() - start < 1.0
+        assert did_resolve(client, did).authentication_key()[1] == keys.public_key
+
+
+def test_another_client_resolves_the_rotated_key(node):
+    writer = node_client(node)
+    did, keys = did_create(writer, SignatureSuite.ED25519, RNG)
+    new_keys = generate_keypair(SignatureSuite.ED25519, RNG)
+    did_update(writer, did, keys, new_keys)
+    reader = node_client(node)
+    assert did_resolve(reader, did).authentication_key()[1] == new_keys.public_key
+
+
+def test_client_holds_no_channel_and_pickles(node):
+    client = node_client(node)
+    did, keys = did_create(client, SignatureSuite.ED25519, RNG)
+    did_update(client, did, keys, generate_keypair(SignatureSuite.ED25519, RNG))
+    assert set(vars(client)) == CLIENT_ATTRIBUTES
+    clone = pickle.loads(pickle.dumps(client))
+    assert vars(clone) == vars(client)
+    assert did_resolve(clone, did).id == did

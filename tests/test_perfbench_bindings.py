@@ -6,9 +6,12 @@ the benchmark's self-test, so a library change that breaks one of the
 benchmark's output checks fails here too."""
 
 import importlib.util
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
+
+import ssitls
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 TRACING = PERFBENCH / "tracing.py"
@@ -33,6 +36,25 @@ def test_traced_methods_are_defined_on_their_class():
     missing = [f"{cls.__qualname__}.{attr}" for _name, cls, attr in tracing.METHODS
                if attr not in cls.__dict__]
     assert not missing
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_no_library_subclass_redefines_a_traced_method():
+    """The tracer wraps each method on its class; a subclass that defines it
+    again would run unwrapped for the subclass's instances."""
+    tracing = _tracing_module()
+    for module in pkgutil.iter_modules(ssitls.__path__):
+        importlib.import_module(f"ssitls.{module.name}")
+    redefined = [f"{sub.__module__}.{sub.__qualname__}.{attr}"
+                 for _name, cls, attr in tracing.METHODS
+                 for sub in _subclasses(cls)
+                 if sub.__module__.startswith("ssitls.") and attr in sub.__dict__]
+    assert not redefined
 
 
 def test_benchmark_selftest_passes():
