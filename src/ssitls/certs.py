@@ -16,7 +16,8 @@ from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives import hashes, serialization
 from cryptography.hazmat.primitives.asymmetric import ec, ed25519, padding, rsa
 
-from .crypto import KeyPair, SignatureSuite, encode_public_key, generate_keypair, Rng, SYSTEM_RNG
+from .crypto import (CryptoError, KeyPair, Rng, SYSTEM_RNG, SignatureSuite, encode_public_key,
+                     generate_keypair, suite_of_key)
 
 
 class CertificateError(Exception):
@@ -235,14 +236,10 @@ def leaf_key(leaf_der: bytes) -> tuple[SignatureSuite, bytes]:
     """Signature suite implied by the leaf's key type, and the key in the
     suite's wire form."""
     pub = parse_certificate(leaf_der).public_key
-    if isinstance(pub, ed25519.Ed25519PublicKey):
-        suite = SignatureSuite.ED25519
-    elif isinstance(pub, ec.EllipticCurvePublicKey):
-        suite = SignatureSuite.ECDSA_SECP256R1_SHA256
-    elif isinstance(pub, rsa.RSAPublicKey):
-        suite = SignatureSuite.RSA_PSS_RSAE_SHA256
-    else:
-        raise CertificateError(f"unsupported leaf key type {type(pub).__name__}")
+    try:
+        suite = suite_of_key(pub)
+    except CryptoError as exc:
+        raise CertificateError(f"unsupported leaf key: {exc}") from None
     return suite, encode_public_key(suite, pub)
 
 

@@ -21,7 +21,8 @@ from cryptography.hazmat.primitives import serialization
 
 from . import handshake, identity, mitm, perfmodel
 from .certs import X509Identity, make_chain
-from .crypto import DeterministicRng, KeyPair, SignatureSuite, SYSTEM_RNG, encode_public_key
+from .crypto import (CryptoError, DeterministicRng, KeyPair, SignatureSuite, SYSTEM_RNG,
+                     encode_public_key, suite_of_key)
 from .handshake import EndpointConfig, Flow, HandshakeAbort, Mode, SsiIdentity
 from .ledger import LedgerClient, LedgerNode, LedgerStore
 from .messages import AuthnMode
@@ -95,17 +96,11 @@ def save_keypair(path: Path, keys: KeyPair) -> None:
 
 
 def load_keypair(path: Path) -> KeyPair:
-    from cryptography.hazmat.primitives.asymmetric import ec, ed25519, rsa
-
     priv = serialization.load_pem_private_key(path.read_bytes(), None)
-    if isinstance(priv, ed25519.Ed25519PrivateKey):
-        suite = SignatureSuite.ED25519
-    elif isinstance(priv, ec.EllipticCurvePrivateKey):
-        suite = SignatureSuite.ECDSA_SECP256R1_SHA256
-    elif isinstance(priv, rsa.RSAPrivateKey):
-        suite = SignatureSuite.RSA_PSS_RSAE_SHA256
-    else:
-        raise CliError(f"unsupported key type in {path}")
+    try:
+        suite = suite_of_key(priv.public_key())
+    except CryptoError as exc:
+        raise CliError(f"{path}: {exc}") from None
     secret = priv.private_bytes(serialization.Encoding.DER,
                                 serialization.PrivateFormat.PKCS8,
                                 serialization.NoEncryption())
@@ -502,10 +497,7 @@ def cmd_bench(args) -> int:
                                      identity_pool=args.identity_pool,
                                      progress=progress)
     report = perfmodel.validate(measurements)
-    print(perfmodel.size_table_markdown(measurements))
-    print(perfmodel.latency_tables_markdown(measurements))
-    print(perfmodel.inputs_table_markdown(report))
-    print(perfmodel.validation_markdown(report))
+    print(perfmodel.report_markdown(measurements, report), end="")
     if args.out:
         perfmodel.write_report(measurements, report, args.out)
         print(f"wrote CSVs and report to {args.out}", file=sys.stderr)

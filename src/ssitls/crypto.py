@@ -192,6 +192,20 @@ def generate_keypair(suite: SignatureSuite, rng: Rng = SYSTEM_RNG) -> KeyPair:
     return KeyPair(suite, _encode_secret(key), encode_public_key(suite, key.public_key()))
 
 
+def suite_of_key(public_key) -> SignatureSuite:
+    """The suite that signs with `public_key`'s type. An ECDSA key must be
+    on P-256, the one curve the ECDSA suite names."""
+    if isinstance(public_key, ed25519.Ed25519PublicKey):
+        return SignatureSuite.ED25519
+    if isinstance(public_key, rsa.RSAPublicKey):
+        return SignatureSuite.RSA_PSS_RSAE_SHA256
+    if isinstance(public_key, ec.EllipticCurvePublicKey):
+        if isinstance(public_key.curve, ec.SECP256R1):
+            return SignatureSuite.ECDSA_SECP256R1_SHA256
+        raise CryptoError(f"unsupported ECDSA curve {public_key.curve.name}")
+    raise CryptoError(f"unsupported key type {type(public_key).__name__}")
+
+
 def encode_public_key(suite: SignatureSuite, pub) -> bytes:
     if suite is SignatureSuite.ED25519:
         return pub.public_bytes_raw()

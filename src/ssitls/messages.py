@@ -574,45 +574,3 @@ def transcript_bytes_accounting(transcript: HandshakeTranscript, role: str) -> B
                 suite = SignatureSuite.from_w3c_name(vc.proof.type)
                 pk_bytes += suite.nominal_signature_len
     return BytesAccounting(total, pk_bytes)
-
-
-# ---------------------------------------------------------------------------
-# Debug rendering
-# ---------------------------------------------------------------------------
-
-def dump(msg: HandshakeMessage) -> str:
-    """Stable one-message textual rendering for golden tests."""
-    lines = [type(msg).__name__]
-    if isinstance(msg, (ClientHello, ServerHello)):
-        lines.append(f"  random: {msg.random.hex()}")
-        lines.append(f"  session_id: {msg.session_id.hex()}")
-        if isinstance(msg, ClientHello):
-            lines.append("  cipher_suites: "
-                         + ", ".join(f"0x{c:04x}" for c in msg.cipher_suites))
-        else:
-            lines.append(f"  cipher_suite: 0x{msg.cipher_suite:04x}")
-        for t, payload in msg.extensions.entries:
-            name = ExtensionType(t).name if t in ExtensionType._value2member_map_ else str(t)
-            lines.append(f"  extension {name}: {payload.hex()}")
-    elif isinstance(msg, SsiRequest):
-        lines.append(f"  mode: {msg.ssi_parameters.mode.name}")
-        lines.append(f"  did_methods: {list(msg.ssi_parameters.did_methods)}")
-        lines.append("  signature_algorithms: "
-                     + ", ".join(f"0x{c:04x}" for c in msg.signature_algorithms))
-    elif isinstance(msg, Certificate):
-        lines.append(f"  context: {msg.context.hex()}")
-        for cert, _ in msg.entries:
-            lines.append(f"  certificate: {len(cert)} bytes")
-    elif isinstance(msg, (CertificateVerify, DidVerify)):
-        lines.append(f"  scheme: 0x{msg.scheme:04x}")
-        lines.append(f"  signature: {msg.signature.hex()}")
-    elif isinstance(msg, VcMessage):
-        lines.append(f"  vc: {len(msg.vc)} bytes")
-    elif isinstance(msg, DidMessage):
-        lines.append(f"  did_method: {msg.did_method}")
-        lines.append(f"  did: {msg.did.decode('utf-8', 'replace')}")
-    elif isinstance(msg, Finished):
-        lines.append(f"  verify_data: {msg.verify_data.hex()}")
-    elif isinstance(msg, CertificateRequest):
-        lines.append(f"  context: {msg.context.hex()}")
-    return "\n".join(lines)

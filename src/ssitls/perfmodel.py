@@ -18,6 +18,7 @@ All durations are seconds; reports print milliseconds.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import queue
 import random
@@ -69,27 +70,61 @@ def delta_d(inputs: ModelInputs) -> float:
     return inputs.t_d.mean - inputs.t_c.mean
 
 
-ALL_CELLS = ("x509-uni", "vc-uni", "did-uni", "x509-mut", "vc-mut", "did-mut",
-             "hybrid-ov", "hybrid-vo", "hybrid-od", "hybrid-do")
-SSI_CELLS = tuple(c for c in ALL_CELLS if c not in ("x509-uni", "x509-mut"))
+@dataclass(frozen=True)
+class Cell:
+    """One measured configuration and how the model prices it."""
+
+    mode: handshake.Mode  # the client's preference
+    server: dict          # overrides of Universe.server_config
+    kind: str             # identity kind the model prices: x509, vc or did
+    sides: int            # SSI-authenticated endpoints
+    baseline: str         # the original-handshake cell with the same authentication
+
+    @property
+    def mutual(self) -> bool:
+        return self.server.get("request_client_auth", False)
+
+    @property
+    def hybrid(self) -> bool:
+        """One endpoint authenticates by SSI, the other by X.509."""
+        return 0 < self.sides < 1 + self.mutual
+
+
+_M, _MUT = handshake.Mode, {"request_client_auth": True}
+_MUT_X509 = {**_MUT, "client_auth_mode": "x509"}
+CELLS = {  # hybrid-<client><server>, where o is X.509, v VC and d DID
+    "x509-uni": Cell(_M.X509, {}, "x509", 0, "x509-uni"),
+    "vc-uni": Cell(_M.VC, {}, "vc", 1, "x509-uni"),
+    "did-uni": Cell(_M.DID, {}, "did", 1, "x509-uni"),
+    "x509-mut": Cell(_M.X509, _MUT_X509, "x509", 0, "x509-mut"),
+    "vc-mut": Cell(_M.VC, _MUT, "vc", 2, "x509-mut"),
+    "did-mut": Cell(_M.DID, _MUT, "did", 2, "x509-mut"),
+    "hybrid-ov": Cell(_M.VC, _MUT_X509, "vc", 1, "x509-mut"),
+    "hybrid-vo": Cell(_M.VC_PEER_X509, {**_MUT, "ssi_request_mode": AuthnMode.VC},
+                      "vc", 1, "x509-mut"),
+    "hybrid-od": Cell(_M.DID, _MUT_X509, "did", 1, "x509-mut"),
+    "hybrid-do": Cell(_M.VC_PEER_X509, {**_MUT, "ssi_request_mode": AuthnMode.DID},
+                      "did", 1, "x509-mut"),
+}
+ALL_CELLS = tuple(CELLS)
+SSI_CELLS = tuple(c for c in ALL_CELLS if CELLS[c].sides)
+BASELINE_CELLS = tuple(c for c in ALL_CELLS if not CELLS[c].sides)
+# every authenticated endpoint uses SSI: the rivals of the original handshake
+PURE_SSI_CELLS = tuple(c for c in SSI_CELLS if not CELLS[c].hybrid)
+# the two orientations of one hybrid mode share one estimate
+HYBRID_PAIRS = tuple((a, b) for a, b in itertools.combinations(SSI_CELLS, 2)
+                     if CELLS[a].hybrid and CELLS[b].hybrid
+                     and CELLS[a].kind == CELLS[b].kind)
 
 
 def estimate_for_cell(inputs: ModelInputs, cell: str) -> float:
     """The baseline mean plus one SSI delta per SSI-authenticated side. A
     hybrid cell has one such side, whichever endpoint it is, so both
     orientations share one estimate."""
-    if cell not in ALL_CELLS:
-        raise ValueError(f"unknown cell {cell!r}")
-    mode, auth = cell.split("-")
-    if mode == "x509":
-        sides = 0
-    elif mode == "hybrid":
-        mode, sides = ("vc" if "v" in auth else "did"), 1  # ov/vo: VC, od/do: DID
-    else:
-        sides = 2 if auth == "mut" else 1
-    base = inputs.h_o_uni if auth == "uni" else inputs.h_o_mut
-    delta = delta_v(inputs) if mode == "vc" else delta_d(inputs)
-    return base.mean + sides * delta
+    spec = CELLS[cell]
+    base = inputs.h_o_mut if spec.mutual else inputs.h_o_uni
+    delta = delta_v(inputs) if spec.kind == "vc" else delta_d(inputs)
+    return base.mean + spec.sides * delta
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +140,6 @@ class RunRecord:
     phase_samples: dict[str, list[float]]  # individual operations, one entry each
     bytes_client: int
     bytes_server: int
-    pk_bytes_client: int
     pk_bytes_server: int
 
     @property
@@ -117,8 +151,6 @@ class RunRecord:
 @dataclass
 class MeasurementSet:
     records: list[RunRecord]
-    runs_per_cell: int
-    warmup: int
 
     def cell_records(self, suite: str, cell: str) -> list[RunRecord]:
         return [r for r in self.records if r.suite == suite and r.cell == cell]
@@ -131,23 +163,17 @@ class MeasurementSet:
 
     def inputs_for(self, suite: str) -> ModelInputs:
         """Extract the model primitives from individual operation timings."""
-        def phase_samples(cells, phase):
-            out = []
-            for cell in cells:
-                for r in self.cell_records(suite, cell):
-                    out.extend(v for v in r.phase_samples.get(phase, ()) if v > 0.0)
-            return out
+        def phase(cells, name: str) -> Stat:
+            return Stat.from_samples(v for cell in cells
+                                     for r in self.cell_records(suite, cell)
+                                     for v in r.phase_samples.get(name, ()) if v > 0.0)
 
-        x509_cells = ("x509-uni", "x509-mut")
-        vc_cells = ("vc-uni", "vc-mut", "hybrid-ov", "hybrid-vo")
-        resolve_cells = tuple(SSI_CELLS)
+        baseline = {CELLS[c].mutual: self.cell_latency(suite, c) for c in BASELINE_CELLS}
         return ModelInputs(
-            t_c=Stat.from_samples(phase_samples(x509_cells, "chain_verify")),
-            t_v=Stat.from_samples(phase_samples(vc_cells, "vc_verify")),
-            t_d=Stat.from_samples(phase_samples(resolve_cells, "resolve")),
-            h_o_uni=self.cell_latency(suite, "x509-uni"),
-            h_o_mut=self.cell_latency(suite, "x509-mut"),
-        )
+            t_c=phase(BASELINE_CELLS, "chain_verify"),
+            t_v=phase([c for c in SSI_CELLS if CELLS[c].kind == "vc"], "vc_verify"),
+            t_d=phase(SSI_CELLS, "resolve"),
+            h_o_uni=baseline[False], h_o_mut=baseline[True])
 
 
 class _CellServer(handshake.TcpServer):
@@ -174,45 +200,37 @@ class _CellServer(handshake.TcpServer):
 
 def _cell_configs(universe: Universe, cell: str):
     """(client config, server config) for one measurement cell."""
-    u = universe
-    M = handshake.Mode
-    if cell == "x509-uni":
-        return u.client_config(M.X509), u.server_config()
-    if cell == "x509-mut":
-        return (u.client_config(M.X509),
-                u.server_config(request_client_auth=True, client_auth_mode="x509"))
-    if cell == "vc-uni":
-        return u.client_config(M.VC), u.server_config()
-    if cell == "vc-mut":
-        return u.client_config(M.VC), u.server_config(request_client_auth=True)
-    if cell == "did-uni":
-        return u.client_config(M.DID), u.server_config()
-    if cell == "did-mut":
-        return u.client_config(M.DID), u.server_config(request_client_auth=True)
-    if cell == "hybrid-ov":   # client X.509, server VC
-        return (u.client_config(M.VC),
-                u.server_config(request_client_auth=True, client_auth_mode="x509"))
-    if cell == "hybrid-od":   # client X.509, server DID
-        return (u.client_config(M.DID),
-                u.server_config(request_client_auth=True, client_auth_mode="x509"))
-    if cell == "hybrid-vo":   # client VC, server X.509
-        return (u.client_config(M.VC_PEER_X509),
-                u.server_config(request_client_auth=True,
-                                ssi_request_mode=AuthnMode.VC))
-    if cell == "hybrid-do":   # client DID, server X.509
-        return (u.client_config(M.VC_PEER_X509),
-                u.server_config(request_client_auth=True,
-                                ssi_request_mode=AuthnMode.DID))
-    raise ValueError(f"unknown cell {cell!r}")
+    spec = CELLS[cell]
+    return universe.client_config(spec.mode), universe.server_config(**spec.server)
+
+
+BLOCK = 10  # at most this many consecutive handshakes of one cell
+SCHEDULE_SEED = 0xC0FFEE
+
+
+def block_schedule(cells, slots: int) -> list[tuple[str, int]]:
+    """The order of one suite's handshakes as (cell, the cell's ordinal).
+    Each cell's `slots` handshakes are cut into blocks of at most BLOCK and
+    all blocks are shuffled together, so a slow spell of the host falls on
+    every cell alike."""
+    blocks = [(cell, min(BLOCK, slots - start))
+              for cell in cells for start in range(0, slots, BLOCK)]
+    random.Random(SCHEDULE_SEED).shuffle(blocks)
+    schedule, done = [], dict.fromkeys(cells, 0)
+    for cell, size in blocks:
+        schedule += [(cell, done[cell] + i) for i in range(size)]
+        done[cell] += size
+    return schedule
 
 
 def measure(suites=None, cells=None, runs: int = 200, warmup: int = 5,
             identity_pool: int = 3, host: str = "127.0.0.1",
             progress=None) -> MeasurementSet:
     """Run `runs` measured handshakes per (suite x cell) after `warmup`
-    discarded ones. Identities are drawn from a pool of `identity_pool`
-    provisioned universes per suite, sharing one ledger node. A failed server
-    handshake is raised here."""
+    discarded ones, the cells interleaved by `block_schedule`. Each cell
+    takes its identities in turn from a pool of `identity_pool` provisioned
+    universes per suite, sharing one ledger node. A failed server handshake
+    is raised here."""
     suites = list(suites or SignatureSuite)
     cells = list(cells or ALL_CELLS)
     records: list[RunRecord] = []
@@ -226,39 +244,34 @@ def measure(suites=None, cells=None, runs: int = 200, warmup: int = 5,
             resolver = LedgerClient(*node.address, trust_anchor=node_root)
             pool = [build_universe(suite, store=store, ledger=resolver)
                     for _ in range(max(1, identity_pool))]
-            for cell in cells:
-                if progress:
-                    progress(f"{suite.ietf_name} {cell}")
-                records.extend(_measure_cell(server, pool, suite, cell, runs, warmup))
-    return MeasurementSet(records, runs, warmup)
+            if progress:
+                progress(suite.ietf_name)
+            measured = [_measure_one(server, pool[index % len(pool)], suite, cell,
+                                     index - warmup)
+                        for cell, index in block_schedule(cells, runs + warmup)]
+            # warm-ups have negative run indices; records stay grouped by cell
+            records += sorted((r for r in measured if r.run_index >= 0),
+                              key=lambda r: cells.index(r.cell))
+    return MeasurementSet(records)
 
 
-def _measure_cell(server: _CellServer, pool: list[Universe], suite: SignatureSuite,
-                  cell: str, runs: int, warmup: int) -> list[RunRecord]:
-    rand = random.Random(0xC0FFEE)
-    out: list[RunRecord] = []
-    for index in range(runs + warmup):
-        client_config, server_config = _cell_configs(rand.choice(pool), cell)
-        server.configs.put(server_config)
-        with socket.create_connection(server.address, timeout=30.0) as sock:
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            client_outcome = handshake.run_client(client_config, sock)
-        result = server.results.get(timeout=30)
-        if isinstance(result, Exception):
-            raise result
-        latency, server_timers = result
-        if index < warmup:
-            continue
-        samples: dict[str, list[float]] = {}
-        for timers in (client_outcome.timers, server_timers):
-            for name, value in timers.items():
-                samples.setdefault(name, []).append(value)
-        acc_client = client_outcome.accounting("client")
-        acc_server = client_outcome.accounting("server")
-        out.append(RunRecord(cell, suite.ietf_name, index - warmup, latency, samples,
-                             acc_client.total_bytes, acc_server.total_bytes,
-                             acc_client.pk_object_bytes, acc_server.pk_object_bytes))
-    return out
+def _measure_one(server: _CellServer, universe: Universe, suite: SignatureSuite,
+                 cell: str, run_index: int) -> RunRecord:
+    client_config, server_config = _cell_configs(universe, cell)
+    server.configs.put(server_config)
+    with socket.create_connection(server.address, timeout=30.0) as sock:
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        client_outcome = handshake.run_client(client_config, sock)
+    result = server.results.get(timeout=30)
+    if isinstance(result, Exception):
+        raise result
+    latency, server_timers = result
+    timers = (client_outcome.timers, server_timers)
+    samples = {name: [t[name] for t in timers if name in t] for name in {**timers[0], **timers[1]}}
+    acc_server = client_outcome.accounting("server")
+    return RunRecord(cell, suite.ietf_name, run_index, latency, samples,
+                     client_outcome.accounting("client").total_bytes,
+                     acc_server.total_bytes, acc_server.pk_object_bytes)
 
 
 # ---------------------------------------------------------------------------
@@ -294,49 +307,41 @@ def validate(measurements: MeasurementSet,
              tolerance: float = FIDELITY_TOLERANCE) -> ValidationReport:
     """Compare measured means with the closed-form estimates per cell."""
     checks: list[CellCheck] = []
-    symmetry = []
-    ordering = []
-    inputs_by_suite: dict[str, ModelInputs] = {}
+    symmetry, ordering, inputs_by_suite = [], [], {}
 
     for suite in measurements.suites():
-        inputs = measurements.inputs_for(suite)
-        inputs_by_suite[suite] = inputs
+        inputs = inputs_by_suite[suite] = measurements.inputs_for(suite)
+        latency = {cell: measurements.cell_latency(suite, cell) for cell in ALL_CELLS}
         for cell in SSI_CELLS:
-            measured = measurements.cell_latency(suite, cell)
+            measured = latency[cell]
             if measured.n == 0:
                 continue
             estimate = estimate_for_cell(inputs, cell)
             rel = abs(measured.mean - estimate) / measured.mean if measured.mean else 0.0
-            checks.append(CellCheck(suite, cell, measured, estimate, rel,
-                                    rel <= tolerance))
+            checks.append(CellCheck(suite, cell, measured, estimate, rel, rel <= tolerance))
 
         # hybrid symmetry: both orientations of each hybrid mode coincide
-        for a, b in (("hybrid-ov", "hybrid-vo"), ("hybrid-od", "hybrid-do")):
-            sa, sb = measurements.cell_latency(suite, a), measurements.cell_latency(suite, b)
+        for a, b in HYBRID_PAIRS:
+            sa, sb = latency[a], latency[b]
             if sa.n and sb.n:
                 pooled = math.sqrt((sa.std ** 2 + sb.std ** 2) / 2) or 1e-9
                 diff = abs(sa.mean - sb.mean)
                 symmetry.append((suite, a, b, diff, pooled, diff <= pooled))
 
         # original handshake is the fastest mode in its authentication class
-        for baseline, rivals in (("x509-uni", ("vc-uni", "did-uni")),
-                                 ("x509-mut", ("vc-mut", "did-mut"))):
-            base = measurements.cell_latency(suite, baseline)
-            for rival in rivals:
-                stat = measurements.cell_latency(suite, rival)
-                if base.n and stat.n:
-                    ordering.append((suite, f"{baseline} < {rival}",
-                                     base.mean < stat.mean))
+        for rival in PURE_SSI_CELLS:
+            baseline = CELLS[rival].baseline
+            base, stat = latency[baseline], latency[rival]
+            if base.n and stat.n:
+                ordering.append((suite, f"{baseline} < {rival}", base.mean < stat.mean))
 
     # bare-DID authentication does not exceed VC under ed25519
     ed = SignatureSuite.ED25519.ietf_name
     if ed in measurements.suites():
-        did_mean = Stat.from_samples(
-            r.latency for c in ("did-uni", "did-mut")
-            for r in measurements.cell_records(ed, c))
-        vc_mean = Stat.from_samples(
-            r.latency for c in ("vc-uni", "vc-mut")
-            for r in measurements.cell_records(ed, c))
+        def pooled(kind: str) -> Stat:
+            return Stat.from_samples(r.latency for c in PURE_SSI_CELLS if CELLS[c].kind == kind
+                                     for r in measurements.cell_records(ed, c))
+        did_mean, vc_mean = pooled("did"), pooled("vc")
         if did_mean.n and vc_mean.n:
             ordering.append((ed, "did <= vc", did_mean.mean <= vc_mean.mean))
 
@@ -347,111 +352,113 @@ def validate(measurements: MeasurementSet,
 # Reports
 # ---------------------------------------------------------------------------
 
+_KIND_LABELS = {"x509": "X.509", "vc": "VC", "did": "DID"}
+
+
 def _ms(seconds: float) -> float:
     return seconds * 1000.0
 
 
+def _table(title: str, columns, rows) -> str:
+    """A markdown section: title, header, rule and one line per row."""
+    lines = [title, "", "| " + " | ".join(columns) + " |", "|---" * len(columns) + "|"]
+    return "\n".join(lines + ["| " + " | ".join(row) + " |" for row in rows]) + "\n"
+
+
+def _header(cell: str) -> str:
+    spec = CELLS[cell]
+    kind, x509 = _KIND_LABELS[spec.kind], _KIND_LABELS["x509"]
+    if not spec.hybrid:
+        return f"{kind} {'mut' if spec.mutual else 'uni'}"
+    server, client = (x509, kind) if spec.mode is _M.VC_PEER_X509 else (kind, x509)
+    return f"server {server} / client {client}"
+
+
 def write_run_csv(measurements: MeasurementSet, path: Path) -> None:
+    phases = ("resolve", "vc_verify", "chain_verify", "sign")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["suite", "cell", "run_index", "latency_ms", "resolve_ms",
-                         "vc_verify_ms", "chain_verify_ms", "sign_ms",
-                         "bytes_client", "bytes_server"])
+        writer.writerow(["suite", "cell", "run_index", "latency_ms",
+                         *(f"{name}_ms" for name in phases), "bytes_client", "bytes_server"])
         for r in measurements.records:
             writer.writerow([r.suite, r.cell, r.run_index, f"{_ms(r.latency):.3f}",
-                             f"{_ms(r.phases.get('resolve', 0.0)):.3f}",
-                             f"{_ms(r.phases.get('vc_verify', 0.0)):.3f}",
-                             f"{_ms(r.phases.get('chain_verify', 0.0)):.3f}",
-                             f"{_ms(r.phases.get('sign', 0.0)):.3f}",
+                             *(f"{_ms(r.phases.get(name, 0.0)):.3f}" for name in phases),
                              r.bytes_client, r.bytes_server])
 
 
-def write_overlay_csv(measurements: MeasurementSet, suite: str, ssi_cell: str,
-                      baseline_cell: str, inputs: ModelInputs, path: Path) -> None:
+def write_overlay_csv(measurements: MeasurementSet, suite: str, cell: str,
+                      inputs: ModelInputs, path: Path) -> None:
     """Per-run measured delta against the per-run model delta."""
-    base = measurements.cell_latency(suite, baseline_cell)
-    factor = 2 if ssi_cell.endswith("mut") else 1
+    spec = CELLS[cell]
+    base = measurements.cell_latency(suite, spec.baseline)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["run_index", "measured_delta_ms", "model_delta_ms"])
-        for r in measurements.cell_records(suite, ssi_cell):
-            measured_delta = r.latency - base.mean
-            resolve = r.phases.get("resolve", 0.0)
-            vc = r.phases.get("vc_verify", 0.0)
-            model_delta = resolve + vc - factor * inputs.t_c.mean
-            writer.writerow([r.run_index, f"{_ms(measured_delta):.3f}",
+        for r in measurements.cell_records(suite, cell):
+            model_delta = (r.phases.get("resolve", 0.0) + r.phases.get("vc_verify", 0.0)
+                           - spec.sides * inputs.t_c.mean)
+            writer.writerow([r.run_index, f"{_ms(r.latency - base.mean):.3f}",
                              f"{_ms(model_delta):.3f}"])
 
 
 def size_table_markdown(measurements: MeasurementSet) -> str:
     """Server-sent bytes per unilateral mode: totals vary with DER
     signature lengths, the public-key-object budget is fixed."""
-    lines = ["## Unilateral handshake size, server side (bytes)", ""]
-    lines.append("| suite | mode | total (mean) | public key objects |")
-    lines.append("|---|---|---|---|")
+    rows = []
     for suite in measurements.suites():
-        for cell, mode in (("x509-uni", "X.509"), ("vc-uni", "VC"), ("did-uni", "DID")):
+        for cell in ALL_CELLS:
             records = measurements.cell_records(suite, cell)
-            if not records:
-                continue
-            total = statistics.fmean(r.bytes_server for r in records)
-            pk = records[0].pk_bytes_server
-            lines.append(f"| {suite} | {mode} | {total:.0f} | {pk} |")
-    return "\n".join(lines) + "\n"
+            if records and not CELLS[cell].mutual:
+                total = statistics.fmean(r.bytes_server for r in records)
+                rows.append([suite, _KIND_LABELS[CELLS[cell].kind], f"{total:.0f}",
+                             str(records[0].pk_bytes_server)])
+    return _table("## Unilateral handshake size, server side (bytes)",
+                  ["suite", "mode", "total (mean)", "public key objects"], rows)
 
 
 def latency_tables_markdown(measurements: MeasurementSet) -> str:
-    suites = measurements.suites()
-    lines = ["## Handshake latency at server side (ms, mean over runs)", ""]
-    lines.append("| suite | X.509 uni | VC uni | DID uni | X.509 mut | VC mut | DID mut |")
-    lines.append("|---|---|---|---|---|---|---|")
-    for suite in suites:
-        row = [suite]
-        for cell in ("x509-uni", "vc-uni", "did-uni", "x509-mut", "vc-mut", "did-mut"):
-            stat = measurements.cell_latency(suite, cell)
-            row.append(f"{_ms(stat.mean):.1f}" if stat.n else "-")
-        lines.append("| " + " | ".join(row) + " |")
-    lines += ["", "## Hybrid handshake latency at server side (ms)", ""]
-    lines.append("| suite | server VC / client X.509 | server DID / client X.509 |"
-                 " server X.509 / client VC | server X.509 / client DID |")
-    lines.append("|---|---|---|---|---|")
-    for suite in suites:
-        row = [suite]
-        for cell in ("hybrid-ov", "hybrid-od", "hybrid-vo", "hybrid-do"):
-            stat = measurements.cell_latency(suite, cell)
-            row.append(f"{_ms(stat.mean):.1f}" if stat.n else "-")
-        lines.append("| " + " | ".join(row) + " |")
-    return "\n".join(lines) + "\n"
+    def table(title: str, hybrid: bool) -> str:
+        cells = [c for c in ALL_CELLS if CELLS[c].hybrid == hybrid]
+        rows = [[suite] + [f"{_ms(s.mean):.1f}" if s.n else "-"
+                           for s in (measurements.cell_latency(suite, c) for c in cells)]
+                for suite in measurements.suites()]
+        return _table(title, ["suite"] + [_header(c) for c in cells], rows)
+
+    return (table("## Handshake latency at server side (ms, mean over runs)", False)
+            + "\n" + table("## Hybrid handshake latency at server side (ms)", True))
 
 
 def inputs_table_markdown(report: ValidationReport) -> str:
-    lines = ["## Identity-processing primitives (ms, mean / std / n)", ""]
-    lines.append("| suite | chain verify | vc verify | resolve |")
-    lines.append("|---|---|---|---|")
-    for suite, inputs in sorted(report.inputs.items()):
-        def cell(stat: Stat) -> str:
-            return f"{_ms(stat.mean):.2f} / {_ms(stat.std):.2f} / {stat.n}"
-        lines.append(f"| {suite} | {cell(inputs.t_c)} | {cell(inputs.t_v)} |"
-                     f" {cell(inputs.t_d)} |")
-    return "\n".join(lines) + "\n"
+    def cell(stat: Stat) -> str:
+        return f"{_ms(stat.mean):.2f} / {_ms(stat.std):.2f} / {stat.n}"
+    rows = [[suite, cell(inputs.t_c), cell(inputs.t_v), cell(inputs.t_d)]
+            for suite, inputs in sorted(report.inputs.items())]
+    return _table("## Identity-processing primitives (ms, mean / std / n)",
+                  ["suite", "chain verify", "vc verify", "resolve"], rows)
 
 
 def validation_markdown(report: ValidationReport) -> str:
-    lines = [f"## Model validation (tolerance {report.tolerance:.0%})", ""]
-    lines.append("| suite | cell | measured ms | estimate ms | rel. error | ok |")
-    lines.append("|---|---|---|---|---|---|")
-    for c in report.checks:
-        lines.append(f"| {c.suite} | {c.cell} | {_ms(c.measured.mean):.2f} |"
-                     f" {_ms(c.estimate):.2f} | {c.relative_error:.1%} |"
-                     f" {'yes' if c.passed else 'NO'} |")
-    lines += ["", "### Hybrid symmetry (|mean a - mean b| <= pooled std)", ""]
+    rows = [[c.suite, c.cell, f"{_ms(c.measured.mean):.2f}", f"{_ms(c.estimate):.2f}",
+             f"{c.relative_error:.1%}", "yes" if c.passed else "NO"]
+            for c in report.checks]
+    lines = ["", "### Hybrid symmetry (|mean a - mean b| <= pooled std)", ""]
     for suite, a, b, diff, pooled, ok in report.symmetry:
         lines.append(f"- {suite}: {a} vs {b}: diff {_ms(diff):.2f} ms,"
                      f" pooled std {_ms(pooled):.2f} ms -> {'ok' if ok else 'VIOLATED'}")
     lines += ["", "### Orderings", ""]
     for suite, label, ok in report.ordering:
         lines.append(f"- {suite}: {label}: {'ok' if ok else 'VIOLATED'}")
-    return "\n".join(lines) + "\n"
+    return _table(f"## Model validation (tolerance {report.tolerance:.0%})",
+                  ["suite", "cell", "measured ms", "estimate ms", "rel. error", "ok"],
+                  rows) + "\n".join(lines) + "\n"
+
+
+def report_markdown(measurements: MeasurementSet, report: ValidationReport) -> str:
+    """The size, latency, primitive and validation tables as one document."""
+    return "\n".join((size_table_markdown(measurements),
+                      latency_tables_markdown(measurements),
+                      inputs_table_markdown(report),
+                      validation_markdown(report)))
 
 
 def write_report(measurements: MeasurementSet, report: ValidationReport,
@@ -459,18 +466,9 @@ def write_report(measurements: MeasurementSet, report: ValidationReport,
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_run_csv(measurements, out / "runs.csv")
-    for suite in measurements.suites():
-        inputs = report.inputs.get(suite)
-        if inputs is None:
-            continue
-        for ssi_cell, baseline in (("vc-uni", "x509-uni"), ("did-uni", "x509-uni"),
-                                   ("vc-mut", "x509-mut"), ("did-mut", "x509-mut")):
-            if measurements.cell_records(suite, ssi_cell):
-                name = f"overlay_{suite}_{ssi_cell}.csv"
-                write_overlay_csv(measurements, suite, ssi_cell, baseline,
-                                  inputs, out / name)
-    tables = size_table_markdown(measurements)
-    tables += "\n" + latency_tables_markdown(measurements)
-    tables += "\n" + inputs_table_markdown(report)
-    tables += "\n" + validation_markdown(report)
-    (out / "report.md").write_text(tables)
+    for suite, inputs in report.inputs.items():
+        for cell in PURE_SSI_CELLS:
+            if measurements.cell_records(suite, cell):
+                write_overlay_csv(measurements, suite, cell, inputs,
+                                  out / f"overlay_{suite}_{cell}.csv")
+    (out / "report.md").write_text(report_markdown(measurements, report))

@@ -361,26 +361,32 @@ def measurement():
     return perfmodel.measure(runs=RUNS_PER_CELL, warmup=5, identity_pool=2)
 
 
+def _explained(report) -> str:
+    """The model's inputs and every check, appended to a C5/C6 failure."""
+    return "\n\n" + perfmodel.inputs_table_markdown(report) \
+        + "\n" + perfmodel.validation_markdown(report)
+
+
 def test_c5_model_fidelity(measurement):
     with criterion(5, "model fidelity within 15% + hybrid symmetry"):
         report = perfmodel.validate(measurement)
         failures = [f"{c.suite}/{c.cell}: {c.relative_error:.1%}"
                     for c in report.checks if not c.passed]
-        assert not failures, failures
-        assert len(report.checks) == 3 * len(perfmodel.SSI_CELLS)
+        assert not failures, f"{failures}{_explained(report)}"
+        assert len(report.checks) == 3 * len(perfmodel.SSI_CELLS), _explained(report)
         for check in report.checks:
-            assert check.measured.n >= RUNS_PER_CELL
+            assert check.measured.n >= RUNS_PER_CELL, _explained(report)
         broken = [s for s in report.symmetry if not s[5]]
-        assert not broken, broken
+        assert not broken, f"{broken}{_explained(report)}"
 
 
 def test_c6_latency_orderings(measurement):
     with criterion(6, "X.509 fastest per suite; DID <= VC under ed25519"):
         report = perfmodel.validate(measurement)
         violated = [(suite, label) for suite, label, ok in report.ordering if not ok]
-        assert not violated, violated
+        assert not violated, f"{violated}{_explained(report)}"
         labels = {label for _suite, label, _ok in report.ordering}
-        assert "did <= vc" in labels  # the ed25519 comparison actually ran
+        assert "did <= vc" in labels, _explained(report)  # the ed25519 comparison ran
 
 
 # ---------------------------------------------------------------------------

@@ -172,6 +172,24 @@ def test_config_errors_exit_10(workspace, tmp_path):
     assert result.returncode == EXIT_CODES["config"]
 
 
+def test_a_key_on_an_unnamed_curve_is_a_config_error(tmp_path):
+    from cryptography.hazmat.primitives import serialization
+    from cryptography.hazmat.primitives.asymmetric import ec
+
+    from ssitls.cli import save_pem_chain
+    identity, _root = make_chain(SignatureSuite.ECDSA_SECP256R1_SHA256, "client.example")
+    save_pem_chain(tmp_path / "chain.pem", list(identity.chain))
+    key = ec.generate_private_key(ec.SECP384R1())
+    (tmp_path / "p384.pem").write_bytes(key.private_bytes(
+        serialization.Encoding.PEM, serialization.PrivateFormat.PKCS8,
+        serialization.NoEncryption()))
+    conf = tmp_path / "client.conf"
+    conf.write_text("mode = x509\nx509_chain = chain.pem\nx509_key = p384.pem\n")
+    result = cli("client", "--config", str(conf), "--connect", "127.0.0.1:1")
+    assert result.returncode == EXIT_CODES["config"], result.stderr
+    assert "p384.pem" in result.stderr and "secp384r1" in result.stderr
+
+
 def test_attack_demo_prints_dichotomy():
     result = cli("ledger", "attack-demo", "--suite", "ed25519", timeout=180)
     assert result.returncode == 0, (result.stdout, result.stderr)

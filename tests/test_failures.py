@@ -3,6 +3,7 @@ carries its own alert (RFC 8446 §6), each side ends promptly, and a nested
 ledger channel's failure is reported as a resolution failure, never as the
 handshake peer's."""
 
+import datetime
 import pickle
 import socket
 import struct
@@ -10,10 +11,13 @@ import threading
 import time
 
 import pytest
+from cryptography import x509
+from cryptography.hazmat.primitives import hashes, serialization
+from cryptography.hazmat.primitives.asymmetric import ec
 
 from ssitls import cli, handshake, record
-from ssitls.certs import make_chain
-from ssitls.crypto import MANDATORY_CIPHER_SUITE, SignatureSuite
+from ssitls.certs import X509Identity, make_chain
+from ssitls.crypto import MANDATORY_CIPHER_SUITE, KeyPair, SignatureSuite
 from ssitls.record import MAX_FRAGMENT
 from ssitls.handshake import (
     BadIdentity,
@@ -245,6 +249,44 @@ def test_stored_server_failures_keep_no_tracebacks(ed_universe):
     for error in server.errors:
         for exc in _linked(error):
             assert exc.__traceback__ is None, (error, exc)
+
+
+# ---------------------------------------------------------------------------
+# Peer keys
+# ---------------------------------------------------------------------------
+
+def p384_leaf_identity() -> tuple[X509Identity, bytes]:
+    """A valid chain whose leaf key is on P-384, a curve no suite names:
+    (identity, trusted root DER)."""
+    now = datetime.datetime.now(datetime.timezone.utc)
+    root_key = ec.generate_private_key(ec.SECP256R1())
+    leaf_key = ec.generate_private_key(ec.SECP384R1())
+    root_name = x509.Name([x509.NameAttribute(x509.NameOID.COMMON_NAME, "p384 test root")])
+
+    def issue(name: x509.Name, key, ca: bool) -> bytes:
+        cert = (x509.CertificateBuilder().subject_name(name).issuer_name(root_name)
+                .public_key(key.public_key()).serial_number(x509.random_serial_number())
+                .not_valid_before(now - datetime.timedelta(minutes=5))
+                .not_valid_after(now + datetime.timedelta(days=1))
+                .add_extension(x509.BasicConstraints(ca=ca, path_length=None), critical=True)
+                .sign(root_key, hashes.SHA256()))
+        return cert.public_bytes(serialization.Encoding.DER)
+
+    leaf_name = x509.Name([x509.NameAttribute(x509.NameOID.COMMON_NAME, "server.example")])
+    secret = leaf_key.private_bytes(serialization.Encoding.DER,
+                                    serialization.PrivateFormat.PKCS8,
+                                    serialization.NoEncryption())
+    keys = KeyPair(SignatureSuite.ECDSA_SECP256R1_SHA256, secret, b"")
+    return X509Identity((issue(leaf_name, leaf_key, False),), keys), issue(root_name, root_key, True)
+
+
+def test_a_leaf_key_on_an_unnamed_curve_is_a_bad_certificate(ed_universe):
+    identity, root = p384_leaf_identity()
+    client, server = pair_results(ed_universe.client_config(Mode.X509, x509_roots=(root,)),
+                                  ed_universe.server_config(x509_identity=identity))
+    assert isinstance(client, BadIdentity), client
+    assert isinstance(server, PeerAlert), server
+    assert server.description == A.BAD_CERTIFICATE
 
 
 # ---------------------------------------------------------------------------

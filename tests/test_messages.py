@@ -28,7 +28,6 @@ from ssitls.messages import (
     VcMessage,
     decode,
     decode_prefix,
-    dump,
     encode,
     transcript_bytes_accounting,
 )
@@ -245,10 +244,3 @@ def test_running_transcript_hash_matches_a_full_rehash(ed_universe, monkeypatch,
     assert client.cipher is cipher
     assert len(checks) == len(client.transcript.entries) + len(server.transcript.entries)
     assert all(got == want for got, want in checks)
-
-
-def test_dump_renders_every_type():
-    for msg in sample_messages():
-        text = dump(msg)
-        assert type(msg).__name__ in text
-        assert "\n" in text or text  # non-empty, line oriented

@@ -115,6 +115,24 @@ def test_stat_from_samples():
     assert (empty.mean, empty.n) == (0.0, 0)
 
 
+@pytest.mark.parametrize("cells,slots", [
+    (perfmodel.ALL_CELLS, 205),            # the acceptance suite's C5/C6 measurement
+    (("x509-uni", "vc-uni"), 205),
+    (("x509-uni", "vc-uni", "did-uni"), 12),  # the small measurement below
+])
+def test_block_schedule_interleaves_the_cells(cells, slots):
+    schedule = perfmodel.block_schedule(cells, slots)
+    assert schedule == perfmodel.block_schedule(cells, slots)  # one fixed seed
+    assert len(schedule) == len(cells) * slots
+    for cell in cells:
+        positions = [i for i, (c, _n) in enumerate(schedule) if c == cell]
+        assert [n for c, n in schedule if c == cell] == list(range(slots))
+        # with only two blocks a cell, the seeded shuffle may leave them side by
+        # side; at 12 slots it does, so the small measurement is not interleaved
+        if slots > 2 * perfmodel.BLOCK:
+            assert positions[-1] - positions[0] + 1 > slots, f"{cell} ran as one block"
+
+
 # ---------------------------------------------------------------------------
 # Small measurement run: structure and internal consistency only
 # ---------------------------------------------------------------------------
