@@ -17,7 +17,7 @@ from cryptography.hazmat.primitives import hashes, serialization
 from cryptography.hazmat.primitives.asymmetric import ec, ed25519, padding, rsa
 
 from .crypto import (CryptoError, KeyPair, Rng, SYSTEM_RNG, SignatureSuite, encode_public_key,
-                     generate_keypair, suite_of_key)
+                     generate_keypair, signing_key, suite_of_key)
 
 
 class CertificateError(Exception):
@@ -101,9 +101,8 @@ def make_chain(suite: SignatureSuite, subject: str, rng: Rng = SYSTEM_RNG,
     inter_name = _name(f"{subject} intermediate ca")
     leaf_name = _name(subject)
 
-    root_priv = serialization.load_der_private_key(root_keys.secret_key, None)
-    inter_priv = serialization.load_der_private_key(inter_keys.secret_key, None)
-    leaf_priv = serialization.load_der_private_key(leaf_keys.secret_key, None)
+    root_priv, inter_priv, leaf_priv = (signing_key(k.suite, k.secret_key)
+                                        for k in (root_keys, inter_keys, leaf_keys))
 
     root = build(root_name, root_priv.public_key(), root_name,
                  root_priv.public_key(), True, 1).sign(root_priv, _hash_for(suite))

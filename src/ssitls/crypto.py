@@ -14,10 +14,11 @@ Key exchange is x25519; the mandatory record suite is TLS_AES_256_GCM_SHA384.
 from __future__ import annotations
 
 import enum
-import functools
 import hashlib
 import hmac as hmac_mod
 import os
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from cryptography.exceptions import InvalidSignature
@@ -167,8 +168,9 @@ class KeyPair:
     bytes for ed25519, SEC1 compressed point for ECDSA, SPKI DER for RSA.
 
     A key pair stays plain bytes so that configs holding it pickle across
-    process boundaries; `sign` decodes each secret once per process and
-    keeps the decoded key in a bounded cache.
+    process boundaries. `sign` keeps decoded keys in a bounded per-process
+    cache: it never decodes a key this process generated, and decodes any
+    other key once.
     """
 
     suite: SignatureSuite
@@ -189,7 +191,9 @@ def generate_keypair(suite: SignatureSuite, rng: Rng = SYSTEM_RNG) -> KeyPair:
         key = rsa.generate_private_key(public_exponent=65537, key_size=2048)
     else:
         raise CryptoError(f"unsupported suite {suite}")
-    return KeyPair(suite, _encode_secret(key), encode_public_key(suite, key.public_key()))
+    keys = KeyPair(suite, _encode_secret(key), encode_public_key(suite, key.public_key()))
+    remember_secret_key(suite, keys.secret_key, key)
+    return keys
 
 
 def suite_of_key(public_key) -> SignatureSuite:
@@ -251,18 +255,41 @@ _PSS_PADDING = padding.PSS(mgf=padding.MGF1(hashes.SHA256()),
                            salt_length=hashes.SHA256.digest_size)
 
 
-# Decoded signing keys kept per process; one entry per (suite, PKCS8 bytes).
+# Decoded signing keys kept per process; one entry per (suite, PKCS8 bytes),
+# the least recently used dropped first.
 SECRET_KEY_CACHE_SIZE = 256
+_secret_keys: OrderedDict = OrderedDict()
+_secret_keys_lock = threading.Lock()
 
 
-@functools.lru_cache(maxsize=SECRET_KEY_CACHE_SIZE)
-def _decoded_secret_key(suite: SignatureSuite, data: bytes):
-    # a failed decode raises, and lru_cache stores no entry for it
-    return load_secret_key(suite, data)
+def remember_secret_key(suite: SignatureSuite, data: bytes, key) -> None:
+    """Keep `key`, the key that PKCS8 `data` encodes, for `signing_key`:
+    a caller that already holds the key object (it has just generated it,
+    or just validated it from a file) spares `sign` a second decode."""
+    with _secret_keys_lock:
+        _secret_keys[(suite, data)] = key
+        _secret_keys.move_to_end((suite, data))
+        while len(_secret_keys) > SECRET_KEY_CACHE_SIZE:
+            _secret_keys.popitem(last=False)
+
+
+def signing_key(suite: SignatureSuite, data: bytes):
+    """The key object for PKCS8 `data`: from the cache, or else decoded by
+    `load_secret_key` with full validation and then cached. A failed decode
+    raises on every call, since nothing is stored for it."""
+    with _secret_keys_lock:
+        key = _secret_keys.get((suite, data))
+        if key is not None:
+            _secret_keys.move_to_end((suite, data))
+            return key
+    # decoded outside the lock: the RSA key check takes tens of milliseconds
+    key = load_secret_key(suite, data)
+    remember_secret_key(suite, data, key)
+    return key
 
 
 def sign(suite: SignatureSuite, secret_key: bytes, content: bytes) -> bytes:
-    key = _decoded_secret_key(suite, secret_key)
+    key = signing_key(suite, secret_key)
     if suite is SignatureSuite.ED25519:
         return key.sign(content)
     if suite is SignatureSuite.ECDSA_SECP256R1_SHA256:

@@ -570,7 +570,7 @@ class _Client(_Endpoint):
         schedule = KeySchedule(self.cipher)
         schedule.inject_ecdhe(shared)
         c_hs, s_hs = schedule.handshake_traffic_secrets(self.transcript_hash())
-        self.records.protect_reads(self.cipher, s_hs)
+        self.stream.protect_reads(self.cipher, s_hs)
         self.records.protect_writes(self.cipher, c_hs)
 
         self.recv_msg(HandshakeType.ENCRYPTED_EXTENSIONS)
@@ -597,7 +597,7 @@ class _Client(_Endpoint):
 
         self.check_finished(s_hs)
         c_ap, s_ap = schedule.app_traffic_secrets(self.transcript_hash())
-        self.records.protect_reads(self.cipher, s_ap)
+        self.stream.protect_reads(self.cipher, s_ap)
 
         if client_auth is not None:
             self.send_identity(client_auth)
@@ -696,7 +696,7 @@ class _Server(_Endpoint):
         schedule.inject_ecdhe(shared)
         c_hs, s_hs = schedule.handshake_traffic_secrets(self.transcript_hash())
         self.records.protect_writes(self.cipher, s_hs)
-        self.records.protect_reads(self.cipher, c_hs)
+        self.stream.protect_reads(self.cipher, c_hs)
 
         self.send_msg(EncryptedExtensions())
 
@@ -722,7 +722,7 @@ class _Server(_Endpoint):
                                              decision.ssi_request_methods)
 
         self.check_finished(c_hs)
-        self.records.protect_reads(self.cipher, c_ap)
+        self.stream.protect_reads(self.cipher, c_ap)
         return self.outcome(decision.flow, peer, c_hs, s_hs, c_ap, s_ap)
 
 

@@ -19,8 +19,11 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
+from cryptography.hazmat.primitives.asymmetric import ec
+from cryptography.hazmat.primitives.serialization import Encoding, PublicFormat
+
 from . import certs, identity
-from .crypto import CipherSuite, SignatureSuite
+from .crypto import CipherSuite, CryptoError, SignatureSuite, suite_of_key
 from .wire import Reader, WireError, Writer
 
 LEGACY_VERSION = 0x0303
@@ -552,7 +555,10 @@ def transcript_bytes_accounting(transcript: HandshakeTranscript, role: str) -> B
     Public-key and signature objects are counted from the actual messages
     but priced at the per-suite budgeted sizes (ECDSA signatures are
     variable-length DER, budgeted at their 70-byte average), so the result
-    is stable run to run.
+    is stable run to run. A certificate whose key belongs to none of the
+    three suites (a P-384 intermediate, say) is priced at its own sizes:
+    the key's encoding (a compressed point for an EC key, else its
+    SubjectPublicKeyInfo) plus the certificate's signature.
     """
     total = 0
     pk_bytes = 0
@@ -563,8 +569,7 @@ def transcript_bytes_accounting(transcript: HandshakeTranscript, role: str) -> B
         msg, _ = decode_prefix(entry.raw)
         if isinstance(msg, Certificate):
             for cert_der, _exts in msg.entries:
-                suite = certs.leaf_suite(cert_der)
-                pk_bytes += suite.nominal_public_key_len + suite.nominal_signature_len
+                pk_bytes += _certificate_object_bytes(cert_der)
         elif isinstance(msg, (CertificateVerify, DidVerify)):
             suite = SignatureSuite.from_scheme_code(msg.scheme)
             pk_bytes += suite.nominal_signature_len
@@ -574,3 +579,17 @@ def transcript_bytes_accounting(transcript: HandshakeTranscript, role: str) -> B
                 suite = SignatureSuite.from_w3c_name(vc.proof.type)
                 pk_bytes += suite.nominal_signature_len
     return BytesAccounting(total, pk_bytes)
+
+
+def _certificate_object_bytes(cert_der: bytes) -> int:
+    parsed = certs.parse_certificate(cert_der)
+    pub = parsed.public_key
+    try:
+        suite = suite_of_key(pub)
+    except CryptoError:
+        if isinstance(pub, ec.EllipticCurvePublicKey):
+            key = pub.public_bytes(Encoding.X962, PublicFormat.CompressedPoint)
+        else:
+            key = pub.public_bytes(Encoding.DER, PublicFormat.SubjectPublicKeyInfo)
+        return len(key) + len(parsed.cert.signature)
+    return suite.nominal_public_key_len + suite.nominal_signature_len

@@ -203,7 +203,14 @@ class MessageStream:
     def __init__(self, records: RecordLayer):
         self.records = records
         self._handshake_buf = b""
-        self._app_buf: list[bytes] = []
+
+    def protect_reads(self, cipher: CipherSuite, secret: bytes) -> None:
+        """Install new read keys. A key change must fall on a record
+        boundary (RFC 8446 §5.1): handshake bytes still buffered here came
+        under the old keys, so they end the connection."""
+        if self._handshake_buf:
+            raise UnexpectedRecord("handshake bytes left over at a key change")
+        self.records.protect_reads(cipher, secret)
 
     def next_handshake_raw(self) -> bytes:
         """Raw bytes of the next complete handshake message."""
@@ -223,14 +230,12 @@ class MessageStream:
                 self._handshake_buf += payload
             elif ctype == ContentType.ALERT:
                 raise PeerAlert(payload[1] if len(payload) >= 2 else 0)
-            elif ctype == ContentType.APPLICATION_DATA:
-                self._app_buf.append(payload)
             else:
-                raise UnexpectedRecord(f"unexpected record type {ctype}")
+                # application data included: none may come before the
+                # handshake completes (RFC 8446 §4.4.4)
+                raise UnexpectedRecord(f"record type {ctype} during the handshake")
 
     def next_app_data(self) -> bytes:
-        if self._app_buf:
-            return self._app_buf.pop(0)
         while True:
             ctype, payload = self.records.recv()
             if ctype == ContentType.APPLICATION_DATA:

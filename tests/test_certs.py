@@ -7,7 +7,8 @@ import pytest
 from ssitls import certs
 from ssitls.certs import CertificateError, leaf_public_key_bytes, leaf_suite, \
     make_chain, verify_chain
-from ssitls.crypto import DeterministicRng, SignatureSuite
+from ssitls.crypto import DeterministicRng, SignatureSuite, sign, verify
+from ssitls.provision import build_universe
 
 RNG = DeterministicRng(404)
 
@@ -153,3 +154,18 @@ def test_each_distinct_certificate_is_decoded_once(monkeypatch):
         assert leaf_suite(identity.chain[0]) is SignatureSuite.ED25519
         assert leaf_public_key_bytes(identity.chain[0]) == identity.keys.public_key
     assert sorted(decoded) == sorted([*identity.chain, *roots])
+
+
+# ---------------------------------------------------------------------------
+# Provisioning signs with the keys it has just generated, decoding none
+# ---------------------------------------------------------------------------
+
+def test_rsa_chains_and_universes_are_made_without_a_key_decode(private_key_decodes):
+    identity, root = make_chain(SignatureSuite.RSA_PSS_RSAE_SHA256, "node.example")
+    keys = identity.keys
+    assert verify(keys.suite, keys.public_key, b"m", sign(keys.suite, keys.secret_key, b"m"))
+    verify_chain(list(identity.chain), [root])
+    assert private_key_decodes == []
+    universe = build_universe(SignatureSuite.RSA_PSS_RSAE_SHA256)  # its DIDs sign credentials
+    assert universe.server_ssi.vc is not None
+    assert private_key_decodes == []

@@ -6,7 +6,9 @@ import sys
 
 import pytest
 
-from ssitls.certs import make_chain
+from ssitls import cli as ssitls_cli
+from ssitls import crypto, identity
+from ssitls.certs import leaf_public_key_bytes, make_chain, verify_chain
 from ssitls.cli import EXIT_CODES
 from ssitls.crypto import SignatureSuite
 from ssitls.ledger import LedgerNode, LedgerStore
@@ -188,6 +190,37 @@ def test_a_key_on_an_unnamed_curve_is_a_config_error(tmp_path):
     result = cli("client", "--config", str(conf), "--connect", "127.0.0.1:1")
     assert result.returncode == EXIT_CODES["config"], result.stderr
     assert "p384.pem" in result.stderr and "secp384r1" in result.stderr
+
+
+def test_rsa_key_files_are_validated_at_most_once(tmp_path, private_key_decodes):
+    """An RSA key check costs tens of milliseconds: make-x509-chain signs
+    and saves keys it generated without decoding one, and did-update
+    decodes only the key file it reads."""
+    main = ssitls_cli.main
+    assert main(["identity", "make-x509-chain", "--suite", "rsa", "--subject", "node.example",
+                 "--out-chain", str(tmp_path / "chain.pem"), "--out-key", str(tmp_path / "key.pem"),
+                 "--out-root", str(tmp_path / "root.pem")]) == 0
+    assert private_key_decodes == []
+    chain = ssitls_cli.load_pem_chain(tmp_path / "chain.pem")
+    verify_chain(chain, ssitls_cli.load_pem_chain(tmp_path / "root.pem"))
+    keys = ssitls_cli.load_keypair(tmp_path / "key.pem")
+    assert leaf_public_key_bytes(chain[0]) == keys.public_key
+
+    store = LedgerStore()
+    did, keys = identity.did_create(store, SignatureSuite.RSA_PSS_RSAE_SHA256)
+    ssitls_cli.save_keypair(tmp_path / "did_key.pem", keys)
+    (tmp_path / "did.txt").write_text(did.text + "\n")
+    key_file = (tmp_path / "did_key.pem").read_bytes()
+    crypto._secret_keys.clear()  # as in a new CLI process
+    private_key_decodes.clear()
+    with LedgerNode(store, None, insecure_plaintext=True) as node:
+        assert main(["identity", "did-update", "--ledger", f"127.0.0.1:{node.address[1]}",
+                     "--ledger-insecure", "--did", str(tmp_path / "did.txt"),
+                     "--key", str(tmp_path / "did_key.pem")]) == 0
+    assert private_key_decodes == [key_file]
+    rotated = ssitls_cli.load_keypair(tmp_path / "did_key.pem")
+    assert identity.did_resolve(store, did).authentication_key() == \
+        (rotated.suite, rotated.public_key)
 
 
 def test_attack_demo_prints_dichotomy():

@@ -8,6 +8,8 @@ import sys
 import threading
 
 import pytest
+from cryptography.hazmat.primitives import serialization
+from cryptography.hazmat.primitives.asymmetric import ec, ed25519, rsa
 
 from ssitls import crypto
 from ssitls.crypto import (
@@ -186,12 +188,12 @@ def test_ecdsa_deterministic_nonces():
 
 
 # ---------------------------------------------------------------------------
-# Decoded signing keys: one decode per key and process
+# Decoded signing keys: none for a key generated here, one for any other
 # ---------------------------------------------------------------------------
 
 @pytest.fixture()
 def secret_key_loads(monkeypatch) -> list[bytes]:
-    """PKCS8 bytes of every decode `sign` asks `load_secret_key` for."""
+    """PKCS8 bytes of every decode `signing_key` asks `load_secret_key` for."""
     loads = []
     original = crypto.load_secret_key
 
@@ -204,12 +206,47 @@ def secret_key_loads(monkeypatch) -> list[bytes]:
 
 
 @pytest.mark.parametrize("suite", list(SignatureSuite))
-def test_sign_decodes_each_secret_once(suite, secret_key_loads):
-    keys = generate_keypair(suite, DeterministicRng(b"once-" + suite.value.encode()))
+def test_a_generated_key_signs_without_a_decode(suite, secret_key_loads):
+    keys = generate_keypair(suite, DeterministicRng(b"generated-" + suite.value.encode()))
     for i in range(5):
         msg = b"message %d" % i
         assert verify(suite, keys.public_key, msg, sign(suite, keys.secret_key, msg))
-    assert secret_key_loads == [keys.secret_key]
+    assert secret_key_loads == []
+
+
+def _foreign_pkcs8(suite: SignatureSuite) -> bytes:
+    """PKCS8 bytes of a fresh key made without `generate_keypair`."""
+    if suite is SignatureSuite.ED25519:
+        key = ed25519.Ed25519PrivateKey.generate()
+    elif suite is SignatureSuite.ECDSA_SECP256R1_SHA256:
+        key = ec.generate_private_key(ec.SECP256R1())
+    else:
+        key = rsa.generate_private_key(public_exponent=65537, key_size=2048)
+    return key.private_bytes(serialization.Encoding.DER, serialization.PrivateFormat.PKCS8,
+                             serialization.NoEncryption())
+
+
+@pytest.mark.parametrize("suite", list(SignatureSuite))
+def test_a_key_made_elsewhere_is_decoded_once(suite, secret_key_loads):
+    secret = _foreign_pkcs8(suite)
+    public = crypto.encode_public_key(suite, crypto.load_secret_key(suite, secret).public_key())
+    secret_key_loads.clear()
+    for i in range(5):
+        msg = b"message %d" % i
+        assert verify(suite, public, msg, sign(suite, secret, msg))
+    assert secret_key_loads == [secret]
+
+
+def test_the_cache_holds_at_most_its_size(secret_key_loads):
+    rng = DeterministicRng(b"bounded")
+    first = generate_keypair(SignatureSuite.ED25519, rng)
+    for _ in range(crypto.SECRET_KEY_CACHE_SIZE + 10):
+        generate_keypair(SignatureSuite.ED25519, rng)
+    assert len(crypto._secret_keys) == crypto.SECRET_KEY_CACHE_SIZE
+    # the oldest key was dropped, so signing with it decodes it again
+    sign(first.suite, first.secret_key, b"msg")
+    assert secret_key_loads == [first.secret_key]
+    assert len(crypto._secret_keys) == crypto.SECRET_KEY_CACHE_SIZE
 
 
 def test_undecodable_secret_fails_on_every_call(secret_key_loads):
@@ -257,6 +294,42 @@ def test_cached_keys_shared_across_threads():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert not bad
+
+
+def test_cache_stays_bounded_while_threads_insert_and_evict(monkeypatch):
+    """Threads generate keys (each one cached) and sign with keys made
+    elsewhere (each decoded, then cached) through a cache of 8 entries."""
+    monkeypatch.setattr(crypto, "SECRET_KEY_CACHE_SIZE", 8)
+    suite = SignatureSuite.ED25519
+    foreign = [_foreign_pkcs8(suite) for _ in range(4)]
+    publics = [crypto.encode_public_key(suite, crypto.load_secret_key(suite, s).public_key())
+               for s in foreign]
+    bad = []
+
+    def worker(n):
+        rng = DeterministicRng(b"evict-%d" % n)
+        for i in range(40):
+            keys = generate_keypair(suite, rng)
+            msg = b"%d/%d" % (n, i)
+            if not verify(suite, keys.public_key, msg, sign(suite, keys.secret_key, msg)):
+                bad.append(msg)
+            j = (n + i) % len(foreign)
+            if not verify(suite, publics[j], msg, sign(suite, foreign[j], msg)):
+                bad.append(msg)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker, args=(n,)) for n in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not bad
+    assert len(crypto._secret_keys) == 8
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ handshake peer's."""
 
 import datetime
 import pickle
+from dataclasses import replace
 import socket
 import struct
 import threading
@@ -37,6 +38,7 @@ from ssitls.handshake import (
     run_server,
 )
 from ssitls.ledger import LedgerClient
+from ssitls.messages import HandshakeType
 from ssitls.record import (
     AlertDescription as A,
     BadRecordMac,
@@ -219,6 +221,97 @@ def test_a_failed_record_after_the_handshake_is_alerted(ed_universe):
     assert info.value.description == A.BAD_RECORD_MAC
     t.join(1)
     assert type(box["server"]) is BadRecordMac
+
+
+# ---------------------------------------------------------------------------
+# Record boundaries: no handshake message spans a key change, and no
+# application data comes before the handshake completes (RFC 8446 §5.1)
+# ---------------------------------------------------------------------------
+
+def _each_side_fails(client_config, server_config):
+    """Run both sides over a socket pair; a side whose handshake completes
+    reads its session once. Returns (client error, server error)."""
+    socks = socket.socketpair()
+    errors = {}
+
+    def side(name, run, config, sock):
+        sock.settimeout(5)
+        try:
+            run(config, sock).session.recv()
+        except HandshakeAbort as exc:
+            errors[name] = exc
+
+    threads = [threading.Thread(target=side, args=("client", run_client, client_config,
+                                                   socks[0]), daemon=True),
+               threading.Thread(target=side, args=("server", run_server, server_config,
+                                                   socks[1]), daemon=True)]
+    start = time.monotonic()
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(10)
+    assert not any(t.is_alive() for t in threads)
+    assert time.monotonic() - start < 1
+    for sock in socks:
+        sock.close()
+    return errors.get("client"), errors.get("server")
+
+
+def _duplicated(msg_type: HandshakeType):
+    """A tamper hook that sends `msg_type` twice in one record."""
+    return lambda t, raw: raw + raw if t == msg_type else raw
+
+
+# message duplicated -> (the side that sends it twice, client-auth requested)
+DUPLICATES = {
+    "client-finished": ("client", HandshakeType.FINISHED, False),
+    "client-finished-mutual": ("client", HandshakeType.FINISHED, True),
+    "server-finished": ("server", HandshakeType.FINISHED, False),
+    "server-hello": ("server", HandshakeType.SERVER_HELLO, False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DUPLICATES))
+def test_a_message_left_over_at_a_key_change_is_unexpected(ed_universe, case):
+    """The receiver reads the first copy, then installs new read keys while
+    the second is still buffered: it raises UnexpectedRecord and alerts
+    unexpected_message, which its peer reports as a PeerAlert."""
+    sender, msg_type, mutual = DUPLICATES[case]
+    u = ed_universe
+    client_config = u.client_config(Mode.X509)
+    server_config = u.server_config(request_client_auth=mutual)
+    if sender == "client":
+        client_config = replace(client_config, tamper=_duplicated(msg_type))
+    else:
+        server_config = replace(server_config, tamper=_duplicated(msg_type))
+    client, server = _each_side_fails(client_config, server_config)
+    detector, peer = (server, client) if sender == "client" else (client, server)
+    assert type(detector) is UnexpectedRecord, detector
+    assert "key change" in str(detector)
+    assert type(peer) is PeerAlert, peer
+    assert peer.description == A.UNEXPECTED_MESSAGE
+
+
+@pytest.mark.parametrize("mutual", [False, True], ids=["x509-uni", "x509-mut"])
+def test_application_data_before_the_client_finished_is_unexpected(ed_universe, monkeypatch,
+                                                                   mutual):
+    """A client that sends data under its handshake keys, before its
+    Finished: the server raises UnexpectedRecord instead of delivering the
+    data, and the client's first read gets the unexpected_message alert."""
+    send_finished = handshake._Client.send_finished
+
+    def early_data_then_finished(self, secret):
+        self.records.send(ContentType.APPLICATION_DATA, b"too early")
+        send_finished(self, secret)
+
+    monkeypatch.setattr(handshake._Client, "send_finished", early_data_then_finished)
+    u = ed_universe
+    client, server = _each_side_fails(u.client_config(Mode.X509),
+                                      u.server_config(request_client_auth=mutual))
+    assert type(server) is UnexpectedRecord, server
+    assert "during the handshake" in str(server)
+    assert type(client) is PeerAlert, client
+    assert client.description == A.UNEXPECTED_MESSAGE
 
 
 def _linked(exc):

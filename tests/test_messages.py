@@ -1,12 +1,17 @@
 """Wire codec: hand-computed encodings, round trips, decode robustness,
 context rules for ssi_parameters, and byte accounting."""
 
+import datetime
 import random
 
 import pytest
+from cryptography import x509
+from cryptography.hazmat.primitives import hashes, serialization
+from cryptography.hazmat.primitives.asymmetric import ec
 
 from ssitls import messages
-from ssitls.crypto import CipherSuite, SignatureSuite
+from ssitls.certs import X509Identity
+from ssitls.crypto import CipherSuite, SignatureSuite, generate_keypair, signing_key
 from ssitls.handshake import Mode, handshake_pair
 from ssitls.messages import (
     AuthnMode,
@@ -213,6 +218,51 @@ def test_accounting_consistency_property(universes):
     for role in ("client", "server"):
         acc = client.accounting(role)
         assert 0 < acc.pk_object_bytes <= acc.total_bytes
+
+
+def _mixed_curve_chain() -> tuple[X509Identity, bytes, bytes]:
+    """A valid chain with a P-256 root, a P-384 intermediate and a P-256
+    leaf: (identity, intermediate DER, root DER)."""
+    now = datetime.datetime.now(datetime.timezone.utc)
+    root_key = ec.generate_private_key(ec.SECP256R1())
+    inter_key = ec.generate_private_key(ec.SECP384R1())
+    leaf_keys = generate_keypair(SignatureSuite.ECDSA_SECP256R1_SHA256)
+    leaf_key = signing_key(leaf_keys.suite, leaf_keys.secret_key)
+
+    def name(cn):
+        return x509.Name([x509.NameAttribute(x509.NameOID.COMMON_NAME, cn)])
+
+    def issue(subject, key, issuer, issuer_key, ca):
+        cert = (x509.CertificateBuilder().subject_name(name(subject)).issuer_name(name(issuer))
+                .public_key(key.public_key()).serial_number(x509.random_serial_number())
+                .not_valid_before(now - datetime.timedelta(minutes=5))
+                .not_valid_after(now + datetime.timedelta(days=1))
+                .add_extension(x509.BasicConstraints(ca=ca, path_length=None), critical=True)
+                .sign(issuer_key, hashes.SHA256()))
+        return cert.public_bytes(serialization.Encoding.DER)
+
+    root = issue("mixed root", root_key, "mixed root", root_key, True)
+    inter = issue("p384 intermediate", inter_key, "mixed root", root_key, True)
+    leaf = issue("server.example", leaf_key, "p384 intermediate", inter_key, False)
+    return X509Identity((leaf, inter), leaf_keys), inter, root
+
+
+def test_accounting_prices_a_link_outside_the_suites_by_its_own_sizes(universes):
+    """A verified chain may hold a key no suite names: that link costs its
+    own key encoding and signature, the suite links their nominal sizes."""
+    u = universes[SignatureSuite.ECDSA_SECP256R1_SHA256]
+    identity, inter, root = _mixed_curve_chain()
+    client, _server = handshake_pair(u.client_config(Mode.X509, x509_roots=(root,)),
+                                     u.server_config(x509_identity=identity))
+    inter_cert = x509.load_der_x509_certificate(inter)
+    inter_key = inter_cert.public_key().public_bytes(
+        serialization.Encoding.X962, serialization.PublicFormat.CompressedPoint)
+    assert len(inter_key) == 49
+    p256 = SignatureSuite.ECDSA_SECP256R1_SHA256
+    leaf_and_verify = p256.nominal_public_key_len + 2 * p256.nominal_signature_len
+    acc = client.accounting("server")
+    assert acc.pk_object_bytes == leaf_and_verify + len(inter_key) + len(inter_cert.signature)
+    assert acc.pk_object_bytes <= acc.total_bytes
 
 
 def test_transcript_hash_is_prefix_deterministic():

@@ -5,8 +5,10 @@ a traced binding fails the unit suite instead of the benchmark. It also runs
 the benchmark's self-test, so a library change that breaks one of the
 benchmark's output checks fails here too."""
 
+import ast
 import importlib.util
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -55,6 +57,33 @@ def test_no_library_subclass_redefines_a_traced_method():
                  for sub in _subclasses(cls)
                  if sub.__module__.startswith("ssitls.") and attr in sub.__dict__]
     assert not redefined
+
+
+def _private_key_decoders() -> set[tuple[str, str]]:
+    """(module, function) of each call to a `serialization.load_*_private_key`
+    function in the library."""
+    found = set()
+    for path in sorted(Path(ssitls.__path__[0]).glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(func):
+                if isinstance(node, ast.Call):
+                    callee = node.func
+                    name = callee.attr if isinstance(callee, ast.Attribute) else \
+                        getattr(callee, "id", "")
+                    if re.fullmatch(r"load_\w*_private_key", name):
+                        found.add((path.stem, func.name))
+    return found
+
+
+def test_every_secret_key_decode_is_counted():
+    """The benchmark counts `crypto.load_secret_key` calls as its
+    `crypto.secret_key_loads`; a decode anywhere else would escape it. The
+    CLI's PEM read is the one other decode, and its key is cached."""
+    assert _private_key_decoders() == {("crypto", "load_secret_key"),
+                                       ("cli", "load_keypair")}
 
 
 def test_benchmark_selftest_passes():
