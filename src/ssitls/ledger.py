@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import io
 import json
 import logging
 import os
@@ -103,10 +104,13 @@ class LedgerRecord:
     @classmethod
     def from_json_dict(cls, data: dict) -> "LedgerRecord":
         try:
-            return cls(data["id"], int(data["seq"]), data["payload"],
-                       bytes.fromhex(data["sig"]))
+            record = cls(data["id"], int(data["seq"]), data["payload"],
+                         bytes.fromhex(data["sig"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise LedgerError(f"malformed record: {exc}") from exc
+        if not isinstance(record.method_specific_id, str) or not isinstance(record.payload, dict):
+            raise LedgerError("malformed record: id must be a string and payload an object")
+        return record
 
 
 # ---------------------------------------------------------------------------
@@ -114,54 +118,58 @@ class LedgerRecord:
 # ---------------------------------------------------------------------------
 
 class LedgerStore:
-    """Append-only log with an in-memory index. `path=None` keeps the log
-    purely in memory; otherwise the log file is replayed on start and every
-    accepted record is appended to it before it is indexed, so the store
-    never serves a record its log lacks.
+    """Append-only log with a latest-only in-memory index. The log is the
+    file at `path`, or an in-memory buffer when `path=None`; it is the only
+    history. The index holds the latest record of each id, and `records()`
+    replays an id's history from the log. Every accepted record is appended
+    to the log before it is indexed, so the store never serves a record its
+    log lacks.
+
+    On start the log is replayed. A final frame cut short by a crash during
+    an append is truncated away with a warning; any complete frame that does
+    not parse or validate raises `LedgerCorruption`.
 
     The store itself satisfies the resolver-client interface (get/put and
     session), so tests can resolve directly against it without a network hop.
     """
 
     def __init__(self, path: str | Path | None = None):
-        self._records: dict[str, list[LedgerRecord]] = {}
+        self._latest: dict[str, LedgerRecord] = {}
         self._lock = threading.RLock()
-        self._path = Path(path) if path is not None else None
-        self._log_fh = None
-        if self._path is not None:
-            if self._path.exists():
-                self._replay()
-            # unbuffered: a failed append leaves no bytes behind to be
-            # flushed after a later record
-            self._log_fh = open(self._path, "ab", buffering=0)
+        # unbuffered: a failed append leaves no bytes behind to be flushed
+        # after a later record
+        self._log_fh = io.BytesIO() if path is None else open(path, "a+b", buffering=0)
+        try:
+            self._replay()
+        except BaseException:
+            self._log_fh.close()
+            raise
+
+    def _read_log(self) -> bytes:
+        self._log_fh.seek(0)
+        return self._log_fh.read()
 
     def _replay(self) -> None:
-        data = self._path.read_bytes()
-        offset = 0
-        while offset < len(data):
-            if offset + 4 > len(data):
-                raise LedgerCorruption("truncated length prefix")
-            length = int.from_bytes(data[offset:offset + 4], "big")
-            offset += 4
-            if offset + length > len(data):
-                raise LedgerCorruption("truncated record")
+        data = self._read_log()
+        end = 0
+        for record, end in _log_records(data):
             try:
-                obj = json.loads(data[offset:offset + length])
-                record = LedgerRecord.from_json_dict(obj)
                 self._validate(record)
-            except (LedgerError, ValueError) as exc:
+            except LedgerError as exc:
                 raise LedgerCorruption(f"log replay failed: {exc}") from exc
             self._index(record)
-            offset += length
+        if end < len(data):
+            logger.warning("ledger log ends in a torn frame; dropped its %d bytes",
+                           len(data) - end)
+            self._log_fh.truncate(end)
 
     def _validate(self, record: LedgerRecord) -> None:
         shape_ok = (set(record.payload.keys()) == {"document"}
                     or record.payload == {"tombstone": True})
         if not shape_ok:
             raise LedgerRejected("payload must be a document or a tombstone")
-        existing = self._records.get(record.method_specific_id, [])
-        if existing:
-            last = existing[-1]
+        last = self._latest.get(record.method_specific_id)
+        if last is not None:
             if last.is_tombstone:
                 raise LedgerRejected("id is tombstoned")
             if record.sequence != last.sequence + 1:
@@ -180,7 +188,7 @@ class LedgerStore:
             suite, public_key = doc.authentication_key()
         except Exception as exc:
             raise LedgerRejected(f"cannot extract the controlling key: {exc}") from exc
-        if not existing:
+        if last is None:
             address = hashlib.sha256(genesis_bytes(doc)).hexdigest()
             if address != record.method_specific_id:
                 raise LedgerRejected("id is not the document's content address")
@@ -190,7 +198,7 @@ class LedgerStore:
             raise LedgerRejected("record is not signed by the controlling key")
 
     def _index(self, record: LedgerRecord) -> None:
-        self._records.setdefault(record.method_specific_id, []).append(record)
+        self._latest[record.method_specific_id] = record
 
     def _append(self, record: LedgerRecord) -> None:
         """Write the record's whole frame to the log; on a failed write, cut
@@ -210,33 +218,50 @@ class LedgerStore:
     def put(self, record: LedgerRecord) -> None:
         with self._lock:
             self._validate(record)
-            if self._log_fh is not None:
-                self._append(record)
+            self._append(record)
             self._index(record)
 
     def get(self, method_specific_id: str) -> LedgerRecord:
         with self._lock:
-            records = self._records.get(method_specific_id)
-            if not records:
+            record = self._latest.get(method_specific_id)
+            if record is None:
                 raise DidNotFound(method_specific_id)
-            return records[-1]
+            return record
 
     def session(self) -> contextlib.AbstractContextManager["LedgerStore"]:
         """The store itself: it has no channel to share."""
         return contextlib.nullcontext(self)
 
     def records(self, method_specific_id: str) -> tuple[LedgerRecord, ...]:
+        """Every record of the id, oldest first, replayed from the log."""
         with self._lock:
-            return tuple(self._records.get(method_specific_id, ()))
+            data = self._read_log()
+        return tuple(record for record, _ in _log_records(data)
+                     if record.method_specific_id == method_specific_id)
 
     def ids(self) -> tuple[str, ...]:
         with self._lock:
-            return tuple(self._records.keys())
+            return tuple(self._latest.keys())
 
     def close(self) -> None:
-        if self._log_fh is not None:
-            self._log_fh.close()
-            self._log_fh = None
+        self._log_fh.close()
+
+
+def _log_records(data: bytes):
+    """Yield (record, end offset) for each complete frame of a store log, and
+    stop at an incomplete final frame. A complete frame that does not parse
+    raises `LedgerCorruption`."""
+    offset = 0
+    while offset + 4 <= len(data):
+        end = offset + 4 + int.from_bytes(data[offset:offset + 4], "big")
+        if end > len(data):
+            return
+        try:
+            record = LedgerRecord.from_json_dict(json.loads(data[offset + 4:end]))
+        except (LedgerError, ValueError) as exc:
+            raise LedgerCorruption(f"log replay failed: {exc}") from exc
+        yield record, end
+        offset = end
 
 
 # ---------------------------------------------------------------------------

@@ -98,49 +98,51 @@ def workspace(tmp_path_factory):
 
 
 def _echo_roundtrip(workspace, client_args, server_args, expect=0):
+    """One client against a `--once` server; returns the client's result and
+    the server's exit code and stdout."""
     server, port = start_server("--config", str(workspace / "server.conf"),
                                 "--once", *server_args)
-    try:
-        result = cli("client", "--config", str(workspace / "client.conf"),
-                     "--connect", f"127.0.0.1:{port}", *client_args)
-        assert result.returncode == expect, (result.stdout, result.stderr)
-        server.wait(timeout=30)
-        return result, server
-    finally:
-        if server.poll() is None:
-            server.kill()
+    with server:
+        try:
+            result = cli("client", "--config", str(workspace / "client.conf"),
+                         "--connect", f"127.0.0.1:{port}", *client_args)
+            assert result.returncode == expect, (result.stdout, result.stderr)
+            server_out = server.communicate(timeout=30)[0]
+            return result, server.returncode, server_out
+        finally:
+            if server.poll() is None:
+                server.kill()
 
 
 def test_vc_echo_roundtrip_with_expect_flow(workspace):
-    result, server = _echo_roundtrip(
+    result, server_exit, _ = _echo_roundtrip(
         workspace,
         ["--expect-flow", "ssi-vc", "--print-outcome", "--payload", "hi there"],
         ["--expect-flow", "ssi-vc"])
     assert "echo ok" in result.stdout
     assert "flow: ssi-vc" in result.stdout
-    assert server.returncode == 0
+    assert server_exit == 0
 
 
 def test_did_mode_via_override(workspace):
-    result, server = _echo_roundtrip(
+    result, server_exit, _ = _echo_roundtrip(
         workspace,
         ["--set", "mode=did", "--expect-flow", "ssi-did"],
         ["--expect-flow", "ssi-did"])
-    assert server.returncode == 0
+    assert server_exit == 0
 
 
 def test_mutual_vc_via_override(workspace):
-    result, server = _echo_roundtrip(
+    result, _, server_out = _echo_roundtrip(
         workspace,
         ["--expect-flow", "ssi-vc", "--print-outcome"],
         ["--set", "request_client_auth=true", "--print-outcome"])
-    assert "peer: did:led:" in server.communicate()[0]
+    assert "peer: did:led:" in server_out
 
 
 def test_expectation_mismatch_exit_code(workspace):
-    result, _server = _echo_roundtrip(
-        workspace, ["--expect-flow", "fallback"], [],
-        expect=EXIT_CODES["expectation"])
+    _echo_roundtrip(workspace, ["--expect-flow", "fallback"], [],
+                    expect=EXIT_CODES["expectation"])
 
 
 def test_fallback_expectation_flag(workspace):
@@ -148,15 +150,15 @@ def test_fallback_expectation_flag(workspace):
     server, port = start_server("--config", str(workspace / "server.conf"),
                                 "--set", "did=", "--set", "did_key=",
                                 "--set", "vc=", "--once")
-    try:
-        result = cli("client", "--config", str(workspace / "client.conf"),
-                     "--connect", f"127.0.0.1:{port}",
-                     "--expect-flow", "fallback")
-        assert result.returncode == 0, (result.stdout, result.stderr)
-    finally:
-        if server.poll() is None:
-            server.kill()
-        server.wait(timeout=10)
+    with server:
+        try:
+            result = cli("client", "--config", str(workspace / "client.conf"),
+                         "--connect", f"127.0.0.1:{port}",
+                         "--expect-flow", "fallback")
+            assert result.returncode == 0, (result.stdout, result.stderr)
+        finally:
+            if server.poll() is None:
+                server.kill()
 
 
 def test_vc_verify_command(workspace):

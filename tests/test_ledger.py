@@ -2,10 +2,13 @@
 channel modes, one channel per DID operation, and concurrent access."""
 
 import errno
+import logging
 import pickle
 import socket
 import threading
 import time
+import tracemalloc
+from contextlib import closing
 
 import pytest
 
@@ -134,8 +137,8 @@ def test_append_only_replay_reconstructs_state(tmp_path):
     before = store.records(did.method_specific_id)
     store.close()
 
-    reopened = LedgerStore(path)
-    after = reopened.records(did.method_specific_id)
+    with closing(LedgerStore(path)) as reopened:
+        after = reopened.records(did.method_specific_id)
     assert after == before
     assert len(after) == 3
     assert after[-1].is_tombstone
@@ -149,12 +152,66 @@ def test_corrupt_log_refuses_to_start(tmp_path):
     did_create(store, SignatureSuite.ED25519, RNG)
     store.close()
     data = path.read_bytes()
-    path.write_bytes(data[:-3])  # truncate mid-record
+    path.write_bytes(data[:-3])  # truncate mid-record: a torn append
+    with closing(LedgerStore(path)) as recovered:
+        assert recovered.ids() == ()
+    assert path.read_bytes() == b""
+    for body in (b"notjs", b'{"id":"x","payload":[],"seq":0,"sig":""}'):
+        path.write_bytes(len(body).to_bytes(4, "big") + body)
+        with pytest.raises(LedgerCorruption):
+            LedgerStore(path)
+
+
+def _three_record_log(path):
+    """A log of one DID's create, update and deactivate; returns the DID and
+    the end offset of each frame."""
+    with closing(LedgerStore(path)) as store:
+        did, keys = did_create(store, SignatureSuite.ED25519, RNG)
+        ends = [path.stat().st_size]
+        new_keys = generate_keypair(SignatureSuite.ED25519, RNG)
+        did_update(store, did, keys, new_keys)
+        ends.append(path.stat().st_size)
+        did_deactivate(store, did, new_keys)
+        ends.append(path.stat().st_size)
+    return did, ends
+
+
+def test_torn_final_frame_is_truncated_and_the_node_starts(tmp_path, caplog):
+    path = tmp_path / "ledger.log"
+    did, ends = _three_record_log(path)
+    msid = did.method_specific_id
+    data = path.read_bytes()
+    caplog.set_level(logging.WARNING, logger=ledger.logger.name)
+    for cut in range(ends[1] + 1, ends[2]):
+        path.write_bytes(data[:cut])
+        caplog.clear()
+        with closing(LedgerStore(path)) as store:
+            assert [r.sequence for r in store.records(msid)] == [0, 1]
+            assert not store.get(msid).is_tombstone
+            assert path.stat().st_size == ends[1]
+            assert f"dropped its {cut - ends[1]} bytes" in caplog.text
+        if cut == ends[1] + 1:  # once: the recovered log takes new appends
+            with closing(LedgerStore(path)) as store:
+                other, _ = did_create(store, SignatureSuite.ED25519, RNG)
+            with closing(LedgerStore(path)) as store:
+                assert [r.sequence for r in store.records(msid)] == [0, 1]
+                assert store.get(other.method_specific_id).sequence == 0
+            assert path.read_bytes()[:ends[1]] == data[:ends[1]]
+
+
+def test_a_complete_frame_that_fails_still_refuses_to_start(tmp_path):
+    path = tmp_path / "ledger.log"
+    _, ends = _three_record_log(path)
+    data = path.read_bytes()
+    garbage = b"\x00\x00\x00\x05notjs"
+    path.write_bytes(data[:ends[0]] + garbage + data[ends[0]:])
     with pytest.raises(LedgerCorruption):
         LedgerStore(path)
-    path.write_bytes(b"\x00\x00\x00\x05notjs")
+    # a valid frame out of order, followed by a torn one
+    path.write_bytes(data[ends[0]:ends[1]] + data[:ends[0] - 1])
     with pytest.raises(LedgerCorruption):
         LedgerStore(path)
+    assert path.stat().st_size == ends[1] - 1  # refused logs are left as found
 
 
 class _FullDiskOnce:
@@ -191,9 +248,32 @@ def test_failed_log_append_is_neither_served_nor_logged(tmp_path):
     before = store.records(did.method_specific_id)
     assert [r.sequence for r in before] == [0, 1]
     store.close()
-    restarted = LedgerStore(path)
-    assert restarted.records(did.method_specific_id) == before
-    assert did_resolve(restarted, did).authentication_key()[1] == new_keys.public_key
+    with closing(LedgerStore(path)) as restarted:
+        assert restarted.records(did.method_specific_id) == before
+        assert did_resolve(restarted, did).authentication_key()[1] == new_keys.public_key
+
+
+def _lifecycles(store, count):
+    for _ in range(count):
+        did, keys = did_create(store, SignatureSuite.ED25519, RNG)
+        new_keys = generate_keypair(SignatureSuite.ED25519, RNG)
+        did_update(store, did, keys, new_keys)
+        did_deactivate(store, did, new_keys)
+
+
+def test_store_keeps_only_the_latest_record_in_memory(tmp_path):
+    """History lives in the log: a DID's create, update and deactivate leave
+    one indexed record behind, not three."""
+    with closing(LedgerStore(tmp_path / "ledger.log")) as store:
+        tracemalloc.start()
+        try:
+            _lifecycles(store, 150)  # fills the bounded signing-key cache
+            before = tracemalloc.get_traced_memory()[0]
+            _lifecycles(store, 200)
+            growth = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+    assert growth / 200 < 1536, f"{growth / 200:.0f} B per lifecycle"
 
 
 def test_interleaved_put_get_consistency():
@@ -293,8 +373,8 @@ def test_node_restart_recovers_from_log(tmp_path):
         pass
     store.close()
 
-    restarted = LedgerStore(path)
-    with LedgerNode(restarted, node_identity) as node:
+    with closing(LedgerStore(path)) as restarted, \
+            LedgerNode(restarted, node_identity) as node:
         client = LedgerClient(*node.address, trust_anchor=node_root)
         assert did_resolve(client, did).id == did
 
