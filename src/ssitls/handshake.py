@@ -144,6 +144,16 @@ class BadKeyShare(HandshakeAbort):
     alert = AlertDescription.ILLEGAL_PARAMETER
 
 
+class HandshakeStalled(HandshakeAbort):
+    """The `roles` of a run_pair all wait for a record that is not there."""
+    kind = "stalled"
+    alert = None  # nothing goes on the wire
+
+    def __init__(self, detail: str = "", roles: tuple[str, ...] = ()):
+        super().__init__(detail)
+        self.roles = roles
+
+
 class ConfigError(Exception):
     pass
 
@@ -237,7 +247,7 @@ class SecureSession:
         """Next application-data record. A failed record sends its alert
         (bad_record_mac for one that fails AEAD) before the abort is raised."""
         try:
-            return self._stream.next_app_data()
+            return blocking(self._stream.next_app_data())
         except HandshakeAbort as exc:
             if exc.alert is not None:
                 self._records.send_alert(exc.alert)
@@ -352,7 +362,7 @@ class _Endpoint:
         self.cipher = config.cipher_suite
         self.timers = _Timers()
 
-    # -- plumbing -----------------------------------------------------------
+    # -- plumbing (what reads from the peer is a generator, see _step) -------
 
     def send_msg(self, msg) -> bytes:
         raw = encode(msg)
@@ -363,7 +373,7 @@ class _Endpoint:
         return raw
 
     def recv_msg(self, *expected: HandshakeType):
-        raw = self.stream.next_handshake_raw()
+        raw = yield from self.stream.next_handshake_raw()
         if raw[0] not in expected:
             got = (HandshakeType(raw[0]).name
                    if raw[0] in HandshakeType._value2member_map_ else str(raw[0]))
@@ -464,6 +474,9 @@ class _Endpoint:
         try:
             with _timed(self.timers, "resolve"):
                 resolved = identity.did_resolve(self.config.ledger, did)
+        except (identity.DidNotFound, identity.UnsupportedDidMethod) as exc:
+            # a definitive answer about the peer's DID, not a local fault
+            raise BadIdentity(f"unresolvable DID: {exc}")
         except identity.DidResolutionError as exc:
             raise ResolutionFailure(str(exc))
         except (identity.IdentityError, CryptoError) as exc:
@@ -492,7 +505,7 @@ class _Endpoint:
         purpose = "certificate_verify" if kind == "x509" else "did_verify"
         self.send_msg(self.make_verify_message(purpose, ident.keys))
 
-    def verify_peer_identity(self, msg, acceptable_methods: tuple[int, ...]) -> PeerIdentity:
+    def verify_peer_identity(self, msg, acceptable_methods: tuple[int, ...]):
         """Verify a received Certificate, VC or DID message and the Verify
         message that follows it; returns the verified peer."""
         if isinstance(msg, Certificate):
@@ -505,13 +518,13 @@ class _Endpoint:
                 suite, public_key, peer = self.process_did_message(msg, acceptable_methods)
             purpose, verify_type = "did_verify", HandshakeType.DID_VERIFY
         th_before = self.transcript_hash()
-        verify_msg = self.recv_msg(verify_type)
+        verify_msg = yield from self.recv_msg(verify_type)
         self.check_verify_message(verify_msg, purpose, suite, public_key, th_before)
         return peer
 
-    def check_finished(self, secret: bytes) -> None:
+    def check_finished(self, secret: bytes):
         th_before = self.transcript_hash()
-        msg = self.recv_msg(HandshakeType.FINISHED)
+        msg = yield from self.recv_msg(HandshakeType.FINISHED)
         expected = finished_mac(self.cipher, secret, th_before)
         if not hmac.compare_digest(expected, msg.verify_data):
             raise FinishedMismatch()
@@ -529,7 +542,7 @@ class _Client(_Endpoint):
     role = "client"
     peer_role = "server"
 
-    def run(self) -> HandshakeOutcome:
+    def run(self):
         config = self.config
         config.validate("client")
         rng = config.rng
@@ -555,7 +568,7 @@ class _Client(_Endpoint):
         )
         self.send_msg(hello)
 
-        sh = self.recv_msg(HandshakeType.SERVER_HELLO)
+        sh = yield from self.recv_msg(HandshakeType.SERVER_HELLO)
         if sh.cipher_suite != config.cipher_suite.code:
             raise NegotiationMismatch(
                 f"server chose unsupported cipher suite 0x{sh.cipher_suite:04x}")
@@ -573,7 +586,7 @@ class _Client(_Endpoint):
         self.stream.protect_reads(self.cipher, s_hs)
         self.records.protect_writes(self.cipher, c_hs)
 
-        self.recv_msg(HandshakeType.ENCRYPTED_EXTENSIONS)
+        yield from self.recv_msg(HandshakeType.ENCRYPTED_EXTENSIONS)
 
         # An optional client-auth request, then the server's identity: X.509
         # or the proposed kind, but only the proposed kind after an SSIRequest.
@@ -582,20 +595,20 @@ class _Client(_Endpoint):
         requests = (HandshakeType.CERTIFICATE_REQUEST,)
         if proposal is not None:
             requests += (HandshakeType.SSI_REQUEST,)
-        msg = self.recv_msg(*requests, *identities)
+        msg = yield from self.recv_msg(*requests, *identities)
         client_auth = None
         if isinstance(msg, CertificateRequest):
             self._check_certificate_request(msg)
             client_auth = "x509"
-            msg = self.recv_msg(*identities)
+            msg = yield from self.recv_msg(*identities)
         elif isinstance(msg, SsiRequest):
             client_auth = self._check_ssi_request(msg, proposal)
-            msg = self.recv_msg(_KINDS[wanted][0])
+            msg = yield from self.recv_msg(_KINDS[wanted][0])
         server_auth = identities[msg.msg_type]
-        peer = self.verify_peer_identity(
+        peer = yield from self.verify_peer_identity(
             msg, proposal.did_methods if proposal is not None else ())
 
-        self.check_finished(s_hs)
+        yield from self.check_finished(s_hs)
         c_ap, s_ap = schedule.app_traffic_secrets(self.transcript_hash())
         self.stream.protect_reads(self.cipher, s_ap)
 
@@ -659,14 +672,14 @@ class _Server(_Endpoint):
     role = "server"
     peer_role = "client"
 
-    def run(self) -> HandshakeOutcome:
+    def run(self):
         config = self.config
         config.validate("server")
         rng = config.rng
         # before the ClientHello arrives, so the keygen overlaps the client's
         ephemeral = generate_x25519(rng)
 
-        hello = self.recv_msg(HandshakeType.CLIENT_HELLO)
+        hello = yield from self.recv_msg(HandshakeType.CLIENT_HELLO)
         if config.cipher_suite.code not in hello.cipher_suites:
             raise NegotiationMismatch("no common cipher suite")
         share_raw = hello.extensions.get(ExtensionType.KEY_SHARE)
@@ -718,10 +731,10 @@ class _Server(_Endpoint):
         if decision.client_auth is None:
             peer = PeerIdentity.anonymous()
         else:
-            peer = self.verify_peer_identity(self.recv_msg(_KINDS[decision.client_auth][0]),
-                                             decision.ssi_request_methods)
+            msg = yield from self.recv_msg(_KINDS[decision.client_auth][0])
+            peer = yield from self.verify_peer_identity(msg, decision.ssi_request_methods)
 
-        self.check_finished(c_hs)
+        yield from self.check_finished(c_hs)
         self.stream.protect_reads(self.cipher, c_ap)
         return self.outcome(decision.flow, peer, c_hs, s_hs, c_ap, s_ap)
 
@@ -730,11 +743,11 @@ class _Server(_Endpoint):
 # Public entry points
 # ---------------------------------------------------------------------------
 
-def _run_wrapped(endpoint: _Endpoint) -> HandshakeOutcome:
+def _run_wrapped(endpoint: _Endpoint):
     """Run one role. A failing endpoint sends at most one fatal alert, and
     only a HandshakeAbort or a ConfigError leaves."""
     try:
-        return endpoint.run()
+        return (yield from endpoint.run())
     except HandshakeAbort as exc:
         if exc.alert is not None:
             endpoint.records.send_alert(exc.alert)
@@ -743,7 +756,7 @@ def _run_wrapped(endpoint: _Endpoint) -> HandshakeOutcome:
         # The peer may have aborted with an alert and closed while we were
         # still writing: report its alert, not our failed write.
         try:
-            endpoint.stream.next_handshake_raw()
+            yield from endpoint.stream.next_handshake_raw()
         except PeerAlert as alert:
             raise alert from exc
         except Exception:
@@ -761,45 +774,90 @@ def _run_wrapped(endpoint: _Endpoint) -> HandshakeOutcome:
         raise HandshakeAbort(str(exc)) from exc
 
 
+def _step(steps, layer: RecordLayer | None) -> RecordLayer:
+    """Send a role the next record of `layer`, or throw in the error of reading
+    it; returns the layer it waits on next. StopIteration carries its result."""
+    try:
+        record = None if layer is None else layer.recv()
+    except Exception as exc:
+        return steps.throw(exc)
+    return steps.send(record)
+
+
+def blocking(steps):
+    """Drive a generator with one blocking `RecordLayer.recv()` per record
+    it asks for; returns its result."""
+    layer = None
+    try:
+        while True:
+            layer = _step(steps, layer)
+    except StopIteration as done:
+        return done.value
+
+
 def run_client(config: EndpointConfig, transport) -> HandshakeOutcome:
-    return _run_wrapped(_Client(config, transport))
+    return blocking(_run_wrapped(_Client(config, transport)))
 
 
 def run_server(config: EndpointConfig, transport) -> HandshakeOutcome:
-    return _run_wrapped(_Server(config, transport))
+    return blocking(_run_wrapped(_Server(config, transport)))
 
 
-def handshake_pair(client_config: EndpointConfig, server_config: EndpointConfig,
-                   timeout: float = 30.0) -> tuple[HandshakeOutcome, HandshakeOutcome]:
-    """Run both endpoints over a socket pair; re-raises either failure."""
-    client_sock, server_sock = socket.socketpair()
-    client_sock.settimeout(timeout)
-    server_sock.settimeout(timeout)
-    result: dict = {}
+class _Pipe:
+    """One role's end of an in-memory connection; reading an empty inbox
+    raises instead of blocking."""
 
-    def serve():
-        try:
-            result["server"] = run_server(server_config, server_sock)
-        except BaseException as exc:  # noqa: BLE001 - relayed to the caller
-            result["server_error"] = exc
+    def __init__(self, role: str, inbox: bytearray, outbox: bytearray):
+        self.role, self.inbox, self.outbox = role, inbox, outbox
 
-    thread = threading.Thread(target=serve, daemon=True)
-    thread.start()
-    try:
-        result["client"] = run_client(client_config, client_sock)
-    except BaseException as exc:
-        result["client_error"] = exc
-    thread.join(timeout)
+    def sendall(self, data: bytes) -> None:
+        self.outbox += data
 
-    if "client_error" in result and "server_error" in result:
-        # the side that detected the problem is the one that got no alert
-        client_exc, server_exc = result["client_error"], result["server_error"]
-        raise server_exc if isinstance(client_exc, PeerAlert) else client_exc
-    if "server_error" in result:
-        raise result["server_error"]
-    if "client_error" in result:
-        raise result["client_error"]
-    return result["client"], result["server"]
+    def recv(self, n: int) -> bytes:
+        if not self.inbox:
+            raise HandshakeStalled(f"{self.role} waits for a record", (self.role,))
+        data = bytes(self.inbox[:n])
+        del self.inbox[:n]
+        return data
+
+    def close(self) -> None:
+        pass
+
+
+def run_pair(client_config: EndpointConfig, server_config: EndpointConfig) -> tuple:
+    """Run both roles in this thread over in-memory pipes; returns (client,
+    server), each a HandshakeOutcome or the exception that role ended with.
+    A role steps only when a record waits for it; when none can, the roles
+    left are named by HandshakeStalled at once."""
+    to_client, to_server = bytearray(), bytearray()
+    roles = {"client": _run_wrapped(_Client(client_config, _Pipe("client", to_client, to_server))),
+             "server": _run_wrapped(_Server(server_config, _Pipe("server", to_server, to_client)))}
+    waits, results = dict.fromkeys(roles), {}
+    while len(results) < len(roles):
+        ready = [role for role in roles if role not in results
+                 and (waits[role] is None or waits[role].transport.inbox)]
+        if not ready:
+            left = tuple(role for role in roles if role not in results)
+            raise HandshakeStalled(f"{' and '.join(left)} waiting for a record", left)
+        for role in ready:
+            try:
+                waits[role] = _step(roles[role], waits[role])
+            except StopIteration as done:
+                results[role] = done.value
+            except Exception as exc:
+                results[role] = exc
+    return results["client"], results["server"]
+
+
+def handshake_pair(client_config: EndpointConfig,
+                   server_config: EndpointConfig) -> tuple[HandshakeOutcome, HandshakeOutcome]:
+    """Both outcomes of `run_pair`, or a failure: of two, the one of the
+    side that detected the problem, which got no alert."""
+    client, server = run_pair(client_config, server_config)
+    failed = [result for result in (client, server) if isinstance(result, Exception)]
+    if failed:
+        raise failed[-1] if isinstance(client, PeerAlert) else failed[0]
+    return client, server
 
 
 class TcpServer:

@@ -7,6 +7,7 @@ import enum
 import struct
 
 from .crypto import CipherSuite, aead, traffic_keys
+from .messages import DecodeError
 
 MAX_FRAGMENT = 1 << 14
 _HEADER = struct.Struct("!BHH")
@@ -212,10 +213,11 @@ class MessageStream:
             raise UnexpectedRecord("handshake bytes left over at a key change")
         self.records.protect_reads(cipher, secret)
 
-    def next_handshake_raw(self) -> bytes:
-        """Raw bytes of the next complete handshake message."""
-        from .messages import DecodeError
+    # Sans-I/O readers: each yields its RecordLayer when it needs that layer's
+    # next record and is sent (content type, payload); see handshake._step.
 
+    def next_handshake_raw(self):
+        """Raw bytes of the next complete handshake message."""
         while True:
             if len(self._handshake_buf) >= 4:
                 body_len = int.from_bytes(self._handshake_buf[1:4], "big")
@@ -225,7 +227,7 @@ class MessageStream:
                     raw = self._handshake_buf[:4 + body_len]
                     self._handshake_buf = self._handshake_buf[4 + body_len:]
                     return raw
-            ctype, payload = self.records.recv()
+            ctype, payload = yield self.records
             if ctype == ContentType.HANDSHAKE:
                 self._handshake_buf += payload
             elif ctype == ContentType.ALERT:
@@ -235,9 +237,9 @@ class MessageStream:
                 # handshake completes (RFC 8446 §4.4.4)
                 raise UnexpectedRecord(f"record type {ctype} during the handshake")
 
-    def next_app_data(self) -> bytes:
+    def next_app_data(self):
         while True:
-            ctype, payload = self.records.recv()
+            ctype, payload = yield self.records
             if ctype == ContentType.APPLICATION_DATA:
                 return payload
             if ctype == ContentType.ALERT:

@@ -8,7 +8,6 @@ import pickle
 from dataclasses import replace
 import socket
 import struct
-import threading
 import time
 
 import pytest
@@ -28,6 +27,7 @@ from ssitls.handshake import (
     EndpointConfig,
     FinishedMismatch,
     HandshakeAbort,
+    HandshakeStalled,
     handshake_pair,
     Mode,
     NegotiationMismatch,
@@ -35,6 +35,7 @@ from ssitls.handshake import (
     RevokedIdentity,
     UnexpectedMessage,
     run_client,
+    run_pair,
     run_server,
 )
 from ssitls.ledger import LedgerClient
@@ -70,6 +71,7 @@ EXPECTED_ALERTS = {
     ResolutionFailure: A.INTERNAL_ERROR,
     UnexpectedMessage: A.UNEXPECTED_MESSAGE,
     DecodeAbort: A.DECODE_ERROR,
+    HandshakeStalled: None,
 }
 
 
@@ -201,26 +203,17 @@ def test_a_failed_record_after_the_handshake_is_alerted(ed_universe):
     BadRecordMac and sends bad_record_mac, so the sender's next recv ends
     at once instead of waiting out its timeout."""
     client, server = handshake_pair(ed_universe.client_config(Mode.X509),
-                                    ed_universe.server_config(), timeout=5)
-    box = {}
-
-    def receive():
-        try:
-            server.session.recv()
-        except HandshakeAbort as exc:
-            box["server"] = exc
-
-    t = threading.Thread(target=receive, daemon=True)
-    t.start()
+                                    ed_universe.server_config())
     start = time.monotonic()
     client.session._records.transport.sendall(
         _header(ContentType.APPLICATION_DATA, 40) + bytes(40))
+    with pytest.raises(HandshakeAbort) as server_error:
+        server.session.recv()
     with pytest.raises(PeerAlert) as info:
         client.session.recv()
     assert time.monotonic() - start < 1
     assert info.value.description == A.BAD_RECORD_MAC
-    t.join(1)
-    assert type(box["server"]) is BadRecordMac
+    assert type(server_error.value) is BadRecordMac
 
 
 # ---------------------------------------------------------------------------
@@ -228,33 +221,22 @@ def test_a_failed_record_after_the_handshake_is_alerted(ed_universe):
 # application data comes before the handshake completes (RFC 8446 §5.1)
 # ---------------------------------------------------------------------------
 
-def _each_side_fails(client_config, server_config):
-    """Run both sides over a socket pair; a side whose handshake completes
-    reads its session once. Returns (client error, server error)."""
-    socks = socket.socketpair()
-    errors = {}
-
-    def side(name, run, config, sock):
-        sock.settimeout(5)
-        try:
-            run(config, sock).session.recv()
-        except HandshakeAbort as exc:
-            errors[name] = exc
-
-    threads = [threading.Thread(target=side, args=("client", run_client, client_config,
-                                                   socks[0]), daemon=True),
-               threading.Thread(target=side, args=("server", run_server, server_config,
-                                                   socks[1]), daemon=True)]
+def _errors_after_one_read(client_config, server_config):
+    """Both sides' errors from the in-thread pair driver; a side whose
+    handshake completes reads its session once, and reports that read's
+    error. Returns (client error, server error)."""
     start = time.monotonic()
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(10)
-    assert not any(t.is_alive() for t in threads)
+    errors = []
+    for result in run_pair(client_config, server_config):
+        if isinstance(result, handshake.HandshakeOutcome):
+            try:
+                result.session.recv()
+                result = None
+            except HandshakeAbort as exc:
+                result = exc
+        errors.append(result)
     assert time.monotonic() - start < 1
-    for sock in socks:
-        sock.close()
-    return errors.get("client"), errors.get("server")
+    return tuple(errors)
 
 
 def _duplicated(msg_type: HandshakeType):
@@ -284,7 +266,7 @@ def test_a_message_left_over_at_a_key_change_is_unexpected(ed_universe, case):
         client_config = replace(client_config, tamper=_duplicated(msg_type))
     else:
         server_config = replace(server_config, tamper=_duplicated(msg_type))
-    client, server = _each_side_fails(client_config, server_config)
+    client, server = _errors_after_one_read(client_config, server_config)
     detector, peer = (server, client) if sender == "client" else (client, server)
     assert type(detector) is UnexpectedRecord, detector
     assert "key change" in str(detector)
@@ -306,7 +288,7 @@ def test_application_data_before_the_client_finished_is_unexpected(ed_universe, 
 
     monkeypatch.setattr(handshake._Client, "send_finished", early_data_then_finished)
     u = ed_universe
-    client, server = _each_side_fails(u.client_config(Mode.X509),
+    client, server = _errors_after_one_read(u.client_config(Mode.X509),
                                       u.server_config(request_client_auth=mutual))
     assert type(server) is UnexpectedRecord, server
     assert "during the handshake" in str(server)

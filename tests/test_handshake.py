@@ -39,9 +39,18 @@ from ssitls.handshake import (
     handshake_pair,
     negotiate_server_mode,
     run_client,
+    run_pair,
     run_server,
 )
-from ssitls.identity import Did, did_deactivate, did_update, multibase_encode, vc_issue
+from ssitls.identity import (
+    Did,
+    TrustStore,
+    derive_did,
+    did_deactivate,
+    did_update,
+    multibase_encode,
+    vc_issue,
+)
 from ssitls.ledger import LedgerClient, LedgerNode, LedgerStore
 from ssitls.messages import (
     GROUP_X25519,
@@ -73,35 +82,15 @@ from ssitls.record import (
 
 
 def pair_results(client_config, server_config, payload=b"across the channel"):
-    """Run both sides; returns (client outcome/exception, server o/e).
-    On double success the protected echo is exercised too."""
-    c_sock, s_sock = socket.socketpair()
-    c_sock.settimeout(20)
-    s_sock.settimeout(20)
-    box = {}
-
-    def serve():
-        try:
-            box["server"] = run_server(server_config, s_sock)
-        except BaseException as exc:
-            box["server"] = exc
-
-    t = threading.Thread(target=serve, daemon=True)
-    t.start()
-    try:
-        box["client"] = run_client(client_config, c_sock)
-    except BaseException as exc:
-        box["client"] = exc
-    t.join(20)
-    client, server = box.get("client"), box.get("server")
+    """Both sides' results from the in-thread pair driver (outcome or
+    exception). On double success the protected echo is exercised too."""
+    client, server = run_pair(client_config, server_config)
     if isinstance(client, handshake.HandshakeOutcome) and \
             isinstance(server, handshake.HandshakeOutcome):
         client.session.send(payload)
         assert server.session.recv() == payload
         server.session.send(payload[::-1])
         assert client.session.recv() == payload[::-1]
-    c_sock.close()
-    s_sock.close()
     return client, server
 
 
@@ -452,6 +441,26 @@ def test_untrusted_did_rejected(fresh_universe):
     assert isinstance(client, BadIdentity)
 
 
+@pytest.mark.parametrize("case", ["never-written", "unresolvable-method"])
+def test_an_unresolvable_peer_did_is_a_bad_identity(ed_universe, case):
+    """A trusted peer DID the ledger has never seen, or whose method no
+    resolver here reads, is the peer's fault: BadIdentity and
+    bad_certificate, not internal_error (RFC 8446 §6.2)."""
+    u = ed_universe
+    keys = generate_keypair(SignatureSuite.ED25519)
+    did = (derive_did(SignatureSuite.ED25519, keys.public_key) if case == "never-written"
+           else Did.parse("did:iota:" + "c" * 64))
+    methods = tuple(sorted({u.client_ssi.did.method.code, did.method.code}))
+    client, server = run_pair(
+        u.client_config(Mode.DID, trust_store=TrustStore(trusted_dids={did.text}),
+                        supported_methods=methods),
+        u.server_config(ssi_identity=SsiIdentity(did, keys), supported_methods=methods))
+    assert type(client) is BadIdentity, client
+    assert "unresolvable DID" in str(client)
+    assert type(server) is PeerAlert, server
+    assert server.description == AlertDescription.BAD_CERTIFICATE
+
+
 def test_expired_credential_rejected(fresh_universe):
     u = fresh_universe
     past = datetime.datetime.now(datetime.timezone.utc) - datetime.timedelta(days=10)
@@ -591,9 +600,6 @@ def test_client_hello_tampered_in_flight_detected(ed_universe):
     """A wire-level attacker flipping plaintext ClientHello bits desynchronises
     the transcripts, so the first protected flight fails authentication."""
     u = ed_universe
-    c_sock, s_sock = socket.socketpair()
-    c_sock.settimeout(20)
-    s_sock.settimeout(20)
 
     class BitFlipTransport:
         def __init__(self, sock):
@@ -614,23 +620,17 @@ def test_client_hello_tampered_in_flight_detected(ed_universe):
         def close(self):
             self.sock.close()
 
-    box = {}
-
-    def serve():
-        try:
-            box["server"] = run_server(u.server_config(), s_sock)
-        except BaseException as exc:
-            box["server"] = exc
-
-    t = threading.Thread(target=serve, daemon=True)
-    t.start()
-    with pytest.raises((RecordError, HandshakeAbort, PeerAlert)):
-        run_client(u.client_config(Mode.VC), BitFlipTransport(c_sock))
-    t.join(2)
-    assert not t.is_alive()
-    assert not isinstance(box.get("server"), handshake.HandshakeOutcome)
-    c_sock.close()
-    s_sock.close()
+    completed = []
+    with handshake.HandshakeServer(u.server_config(), handler=completed.append,
+                                   conn_timeout=20) as server:
+        with socket.create_connection(server.address, timeout=20) as sock:
+            with pytest.raises((RecordError, HandshakeAbort, PeerAlert)):
+                run_client(u.client_config(Mode.VC), BitFlipTransport(sock))
+            start = time.monotonic()
+            while not server.errors and time.monotonic() - start < 2:
+                time.sleep(0.01)
+            assert len(server.errors) == 1
+    assert not completed
 
 
 def test_aborted_flows_yield_no_keys(ed_universe):
@@ -648,6 +648,46 @@ def test_client_requires_ssi_identity_for_ssi_modes(ed_universe):
     config.ssi_identity = None
     with pytest.raises(handshake.ConfigError):
         run_client(config, None)
+
+
+# ---------------------------------------------------------------------------
+# The in-thread pair driver
+# ---------------------------------------------------------------------------
+
+def test_handshake_pair_starts_no_thread_and_opens_no_socket(ed_universe, monkeypatch):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("the pair driver must stay in this thread and in memory")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    monkeypatch.setattr(socket, "socketpair", refuse)
+    u = ed_universe
+    for mode in Mode:
+        client, server = handshake_pair(u.client_config(mode),
+                                        u.server_config(request_client_auth=True))
+        assert client.keys == server.keys
+
+
+@pytest.mark.parametrize("dropped,sender,waiting", [
+    (HandshakeType.FINISHED, "client", ("server",)),
+    (HandshakeType.FINISHED, "server", ("client", "server")),
+], ids=["client-finished", "server-finished"])
+def test_a_dropped_message_is_a_named_stall_at_once(ed_universe, dropped, sender, waiting):
+    """A message dropped in flight leaves a role waiting for a record that
+    never comes; the driver names it at once instead of timing out."""
+    u = ed_universe
+    drop = tamper_type(dropped, lambda raw: b"")
+    client_config, server_config = u.client_config(Mode.X509), u.server_config()
+    if sender == "client":
+        client_config = dataclasses.replace(client_config, tamper=drop)
+    else:
+        server_config = dataclasses.replace(server_config, tamper=drop)
+    start = time.monotonic()
+    with pytest.raises(handshake.HandshakeStalled) as info:
+        run_pair(client_config, server_config)
+    assert time.monotonic() - start < 0.5
+    assert info.value.roles == waiting
+    assert all(role in str(info.value) for role in waiting)
+    assert info.value.alert is None
 
 
 # ---------------------------------------------------------------------------
