@@ -37,9 +37,9 @@ def _hash_for(suite: SignatureSuite):
     return None if suite is SignatureSuite.ED25519 else hashes.SHA256()
 
 
-def _name(common_name: str, org: str = "SSI TLS Testbed") -> x509.Name:
+def _name(common_name: str) -> x509.Name:
     return x509.Name([
-        x509.NameAttribute(x509.NameOID.ORGANIZATION_NAME, org),
+        x509.NameAttribute(x509.NameOID.ORGANIZATION_NAME, "SSI TLS Testbed"),
         x509.NameAttribute(x509.NameOID.COMMON_NAME, common_name),
     ])
 

@@ -161,6 +161,15 @@ def _bool(value: str) -> bool:
     return value.lower() in ("1", "true", "yes", "on")
 
 
+def _ledger_client(address: str, root_path: Path | str | None,
+                   insecure: bool) -> LedgerClient:
+    """A client of the ledger node at HOST:PORT `address`, which it
+    authenticates by the root certificate in `root_path` (PEM)."""
+    root = load_pem_chain(Path(root_path))[0] if root_path else None
+    return LedgerClient(*_host_port(address), trust_anchor=root,
+                        insecure_plaintext=insecure)
+
+
 def build_endpoint_config(values: dict[str, str], base: Path) -> EndpointConfig:
     def path_of(key: str) -> Path | None:
         if key not in values or not values[key]:
@@ -187,14 +196,8 @@ def build_endpoint_config(values: dict[str, str], base: Path) -> EndpointConfig:
 
     ledger_client = None
     if values.get("ledger"):
-        insecure = _bool(values.get("ledger_insecure", "false"))
-        root = None
-        root_path = path_of("ledger_root")
-        if root_path:
-            root = load_pem_chain(root_path)[0]
-        ledger_client = LedgerClient(*_host_port(values["ledger"]),
-                                     trust_anchor=root,
-                                     insecure_plaintext=insecure)
+        ledger_client = _ledger_client(values["ledger"], path_of("ledger_root"),
+                                       _bool(values.get("ledger_insecure", "false")))
 
     trust = identity.load_trust_store(
         issuer_dir=path_of("trusted_issuer_dir"),
@@ -251,7 +254,7 @@ def _load_config(args) -> EndpointConfig:
 # Outcome reporting
 # ---------------------------------------------------------------------------
 
-def print_outcome(outcome: handshake.HandshakeOutcome, own_role: str) -> None:
+def print_outcome(outcome: handshake.HandshakeOutcome) -> None:
     print(f"flow: {outcome.flow.value}")
     peer = outcome.peer
     if peer.kind == "x509":
@@ -293,7 +296,7 @@ def cmd_server(args) -> int:
 
     def handler(outcome: handshake.HandshakeOutcome) -> None:
         if args.print_outcome:
-            print_outcome(outcome, "server")
+            print_outcome(outcome)
         results.append(_check_flow(outcome, args.expect_flow))
         handshake.echo_handler(outcome)
 
@@ -329,7 +332,7 @@ def cmd_client(args) -> int:
             print("echo mismatch", file=sys.stderr)
             return EXIT_CODES["error"]
         if args.print_outcome:
-            print_outcome(outcome, "client")
+            print_outcome(outcome)
         print(f"echo ok ({len(payload)} bytes)")
         code = _check_flow(outcome, args.expect_flow)
         outcome.session.close()
@@ -341,17 +344,11 @@ def cmd_client(args) -> int:
         sock.close()
 
 
-def _ledger_client(args) -> LedgerClient:
-    root = None
-    if args.ledger_root:
-        root = load_pem_chain(Path(args.ledger_root))[0]
-    return LedgerClient(*_host_port(args.ledger), trust_anchor=root,
-                        insecure_plaintext=args.ledger_insecure)
-
-
 def cmd_identity(args) -> int:
+    if "ledger" in args:  # the did-* commands, which take ledger_flags
+        ledger_client = _ledger_client(args.ledger, args.ledger_root, args.ledger_insecure)
+
     if args.identity_cmd == "did-create":
-        ledger_client = _ledger_client(args)
         did, keys = identity.did_create(ledger_client, _suite(args.suite))
         save_keypair(Path(args.out_key), keys)
         Path(args.out_did).write_text(did.text + "\n")
@@ -359,7 +356,6 @@ def cmd_identity(args) -> int:
         return 0
 
     if args.identity_cmd == "did-update":
-        ledger_client = _ledger_client(args)
         did = identity.Did.parse(Path(args.did).read_text().strip())
         current = load_keypair(Path(args.key))
         from .crypto import generate_keypair
@@ -370,7 +366,6 @@ def cmd_identity(args) -> int:
         return 0
 
     if args.identity_cmd == "did-deactivate":
-        ledger_client = _ledger_client(args)
         did = identity.Did.parse(Path(args.did).read_text().strip())
         keys = load_keypair(Path(args.key))
         identity.did_deactivate(ledger_client, did, keys)

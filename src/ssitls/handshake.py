@@ -76,6 +76,10 @@ from .record import (
 
 logger = logging.getLogger(__name__)
 
+# The signature schemes every ClientHello, CertificateRequest and SSIRequest
+# offers, in SignatureSuite order: 0x0403, 0x0804, 0x0807.
+_SIGNATURE_SCHEMES = tuple(suite.scheme_code for suite in SignatureSuite)
+
 
 class Mode(enum.Enum):
     """Client authentication-mode preference for the peer."""
@@ -178,7 +182,6 @@ class EndpointConfig:
     trust_store: identity.TrustStore = field(default_factory=identity.TrustStore)
     x509_roots: tuple[bytes, ...] = ()
     ledger: object | None = None
-    signature_algorithms: tuple[SignatureSuite, ...] = tuple(SignatureSuite)
     cipher_suite: CipherSuite = MANDATORY_CIPHER_SUITE
     request_client_auth: bool = False
     client_auth_mode: str = "ssi"  # "ssi" follows the client's mode; or "x509"
@@ -225,7 +228,6 @@ class HandshakeOutcome:
     keys: SessionKeys
     peer: PeerIdentity
     transcript: HandshakeTranscript
-    cipher: CipherSuite
     timers: dict[str, float]
     session: "SecureSession"
 
@@ -396,7 +398,7 @@ class _Endpoint:
     def outcome(self, flow: Flow, peer: PeerIdentity, *secrets: bytes) -> HandshakeOutcome:
         """The completed handshake; `secrets` are c_hs, s_hs, c_ap, s_ap."""
         return HandshakeOutcome(flow, SessionKeys(*secrets, self.cipher), peer,
-                                self.transcript, self.cipher, dict(self.timers),
+                                self.transcript, dict(self.timers),
                                 SecureSession(self.records, self.stream))
 
     # -- signatures over the transcript --------------------------------------
@@ -416,8 +418,6 @@ class _Endpoint:
             raise BadSignature(f"unknown signature scheme 0x{msg.scheme:04x}")
         if claimed is not suite:
             raise BadSignature("signature scheme does not match the peer key")
-        if claimed not in self.config.signature_algorithms:
-            raise BadSignature("signature scheme was not offered")
         content = build_signed_content(self.peer_role, purpose, th_before)
         if not verify(suite, public_key, content, msg.signature):
             raise BadSignature(f"{purpose} verification failed")
@@ -554,7 +554,7 @@ class _Client(_Endpoint):
             (int(ExtensionType.SUPPORTED_GROUPS),
              b"\x00\x02" + GROUP_X25519.to_bytes(2, "big")),
             (int(ExtensionType.SIGNATURE_ALGORITHMS),
-             encode_signature_algorithms(config.signature_algorithms)),
+             encode_signature_algorithms(_SIGNATURE_SCHEMES)),
             (int(ExtensionType.KEY_SHARE),
              encode_key_share_client([(GROUP_X25519, ephemeral.public_key)])),
         ]
@@ -716,12 +716,12 @@ class _Server(_Endpoint):
         if decision.client_auth == "x509":
             self.send_msg(CertificateRequest(b"", ExtensionBlock((
                 (int(ExtensionType.SIGNATURE_ALGORITHMS),
-                 encode_signature_algorithms(config.signature_algorithms)),
+                 encode_signature_algorithms(_SIGNATURE_SCHEMES)),
             ))))
         elif decision.client_auth is not None:
             self.send_msg(SsiRequest(
                 SsiParameters(_KINDS[decision.client_auth][1], decision.ssi_request_methods),
-                tuple(s.scheme_code for s in config.signature_algorithms)))
+                _SIGNATURE_SCHEMES))
         self.send_identity(decision.server_auth)
 
         self.send_finished(s_hs)
@@ -860,6 +860,9 @@ def handshake_pair(client_config: EndpointConfig,
     return client, server
 
 
+_LISTEN_BACKLOG = 128
+
+
 class TcpServer:
     """Threaded TCP acceptor: each accepted connection gets its own thread,
     which runs `serve_one` and then closes the connection.
@@ -868,11 +871,11 @@ class TcpServer:
     accept, and `stop` joins the rest.
     """
 
-    def __init__(self, host: str, port: int, backlog: int, conn_timeout: float):
+    def __init__(self, host: str, port: int, conn_timeout: float):
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self._listener.bind((host, port))
-        self._listener.listen(backlog)
+        self._listener.listen(_LISTEN_BACKLOG)
         self.address = self._listener.getsockname()
         self._conn_timeout = conn_timeout
         self._threads: list[threading.Thread] = []  # touched by the acceptor only, until stop
@@ -932,19 +935,18 @@ class HandshakeServer(TcpServer):
     every failed connection's exception, without tracebacks, so a stored
     failure does not pin its connection's frames."""
 
-    def __init__(self, config: EndpointConfig | Callable[[], EndpointConfig],
+    def __init__(self, config: EndpointConfig,
                  host: str = "127.0.0.1", port: int = 0,
                  handler: Callable[[HandshakeOutcome], None] | None = None,
                  conn_timeout: float = 30.0):
-        super().__init__(host, port, backlog=64, conn_timeout=conn_timeout)
+        super().__init__(host, port, conn_timeout=conn_timeout)
         self._config = config
         self._handler = handler or echo_handler
         self.errors: list[BaseException] = []
 
     def serve_one(self, conn: socket.socket) -> None:
         try:
-            config = self._config() if callable(self._config) else self._config
-            outcome = run_server(config, conn)
+            outcome = run_server(self._config, conn)
             self._handler(outcome)
         except (HandshakeAbort, ConfigError, OSError) as exc:
             logger.debug("connection dropped: %s", exc)

@@ -364,22 +364,19 @@ class VcRejected(IdentityError):
 class VcParseError(IdentityError):
     def __init__(self, message: str, position: int = 0):
         super().__init__(f"{message} (at byte {position})")
-        self.position = position
 
 
 def vc_issue(issuer_keys: KeyPair, issuer_did: Did, subject_did: Did,
              claims: dict[str, str], valid_from: datetime.datetime,
              valid_until: datetime.datetime, extra_types: tuple[str, ...] = (),
-             vc_id: str | None = None, rng: Rng = SYSTEM_RNG) -> VerifiableCredential:
+             rng: Rng = SYSTEM_RNG) -> VerifiableCredential:
     if valid_from >= valid_until:
         raise IdentityError("degenerate validity window")
     for k, v in claims.items():
         if not isinstance(k, str) or not isinstance(v, str):
             raise IdentityError("claims must map text to text")
-    if vc_id is None:
-        vc_id = "https://credentials.invalid/" + rng.bytes(16).hex()
     vc = VerifiableCredential(
-        id=vc_id,
+        id="https://credentials.invalid/" + rng.bytes(16).hex(),
         types=("VerifiableCredential",) + tuple(extra_types),
         issuer=issuer_did,
         issuance_date=valid_from,

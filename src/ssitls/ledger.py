@@ -333,7 +333,7 @@ class LedgerNode(handshake.TcpServer):
                  conn_timeout: float = 30.0):
         if not insecure_plaintext and x509_identity is None:
             raise LedgerError("authenticated mode needs an X.509 identity")
-        super().__init__(host, port, backlog=128, conn_timeout=conn_timeout)
+        super().__init__(host, port, conn_timeout=conn_timeout)
         self.store = store
         self.insecure_plaintext = insecure_plaintext
         self._identity = x509_identity

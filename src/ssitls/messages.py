@@ -62,10 +62,6 @@ class AuthnMode(enum.IntEnum):
 class DecodeError(Exception):
     """Any malformed wire input; maps to a decode_error alert."""
 
-    def __init__(self, message: str, kind: str = "malformed"):
-        super().__init__(message)
-        self.kind = kind
-
 
 # ---------------------------------------------------------------------------
 # ssi_parameters
@@ -85,8 +81,7 @@ class SsiParameters:
     def __post_init__(self):
         if (self.mode is AuthnMode.UNSPECIFIED) != (len(self.did_methods) == 0):
             raise DecodeError("authentication mode 0 pairs with an empty method list"
-                              " and SSI modes require at least one method",
-                              kind="ssi_parameters")
+                              " and SSI modes require at least one method")
 
     def encode(self) -> bytes:
         w = Writer().u8(int(self.mode)).u8(len(self.did_methods))
@@ -103,14 +98,13 @@ class SsiParameters:
             methods = tuple(r.u8() for _ in range(count))
             r.expect_end()
         except WireError as exc:
-            raise DecodeError(f"ssi_parameters: {exc}", kind="length") from exc
+            raise DecodeError(f"ssi_parameters: {exc}") from exc
         try:
             mode = AuthnMode(mode_byte)
         except ValueError:
-            raise DecodeError(f"unknown authentication mode {mode_byte}",
-                              kind="ssi_parameters")
+            raise DecodeError(f"unknown authentication mode {mode_byte}")
         if len(set(methods)) != len(methods):
-            raise DecodeError("duplicate DID method codes", kind="ssi_parameters")
+            raise DecodeError("duplicate DID method codes")
         return cls(mode, methods)
 
 
@@ -149,11 +143,11 @@ class ExtensionBlock:
                 t = block.u16()
                 payload = block.vector(2)
                 if t in seen:
-                    raise DecodeError(f"duplicate extension type {t}", kind="duplicate")
+                    raise DecodeError(f"duplicate extension type {t}")
                 seen.add(t)
                 entries.append((t, payload))
         except WireError as exc:
-            raise DecodeError(f"extension block: {exc}", kind="length") from exc
+            raise DecodeError(f"extension block: {exc}") from exc
         return cls(tuple(entries))
 
 
@@ -170,10 +164,10 @@ def decode_signature_algorithms(data: bytes) -> tuple[int, ...]:
         inner = Reader(r.vector(2, min_len=2))
         r.expect_end()
         if inner.remaining() % 2:
-            raise DecodeError("odd signature_algorithms length", kind="length")
+            raise DecodeError("odd signature_algorithms length")
         return tuple(inner.u16() for _ in range(inner.remaining() // 2))
     except WireError as exc:
-        raise DecodeError(f"signature_algorithms: {exc}", kind="length") from exc
+        raise DecodeError(f"signature_algorithms: {exc}") from exc
 
 
 def encode_key_share_client(shares: list[tuple[int, bytes]]) -> bytes:
@@ -194,7 +188,7 @@ def decode_key_share_client(data: bytes) -> tuple[tuple[int, bytes], ...]:
             shares.append((group, inner.vector(2, min_len=1)))
         return tuple(shares)
     except WireError as exc:
-        raise DecodeError(f"key_share: {exc}", kind="length") from exc
+        raise DecodeError(f"key_share: {exc}") from exc
 
 
 def encode_key_share_server(group: int, key: bytes) -> bytes:
@@ -209,7 +203,7 @@ def decode_key_share_server(data: bytes) -> tuple[int, bytes]:
         r.expect_end()
         return group, key
     except WireError as exc:
-        raise DecodeError(f"key_share: {exc}", kind="length") from exc
+        raise DecodeError(f"key_share: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -365,16 +359,16 @@ def _encode_body(msg: HandshakeMessage) -> bytes:
     elif isinstance(msg, Finished):
         w.raw(msg.verify_data)
     else:
-        raise DecodeError(f"cannot encode {type(msg).__name__}", kind="type")
+        raise DecodeError(f"cannot encode {type(msg).__name__}")
     return w.getvalue()
 
 
 def encode(msg: HandshakeMessage) -> bytes:
     """Framed wire form: one type byte, 3-byte length, body."""
     if isinstance(msg, ClientHello) and len(msg.random) != 32:
-        raise DecodeError("ClientHello.random must be 32 bytes", kind="length")
+        raise DecodeError("ClientHello.random must be 32 bytes")
     if isinstance(msg, ServerHello) and len(msg.random) != 32:
-        raise DecodeError("ServerHello.random must be 32 bytes", kind="length")
+        raise DecodeError("ServerHello.random must be 32 bytes")
     body = _encode_body(msg)
     return Writer().u8(int(msg.msg_type)).u24(len(body)).raw(body).getvalue()
 
@@ -385,34 +379,33 @@ def encode(msg: HandshakeMessage) -> bytes:
 
 def _decode_client_hello(r: Reader) -> ClientHello:
     if r.u16() != LEGACY_VERSION:
-        raise DecodeError("bad legacy_version", kind="version")
+        raise DecodeError("bad legacy_version")
     random = r.take(32)
     session_id = r.vector(1)
     if len(session_id) > 32:
-        raise DecodeError("legacy_session_id too long", kind="length")
+        raise DecodeError("legacy_session_id too long")
     suites_raw = Reader(r.vector(2, min_len=2))
     if suites_raw.remaining() % 2:
-        raise DecodeError("odd cipher_suites length", kind="length")
+        raise DecodeError("odd cipher_suites length")
     suites = tuple(suites_raw.u16() for _ in range(suites_raw.remaining() // 2))
     compression = r.vector(1, min_len=1)
     if compression != b"\x00":
-        raise DecodeError("compression methods must be the single null method",
-                          kind="compression")
+        raise DecodeError("compression methods must be the single null method")
     extensions = ExtensionBlock.decode(r)
     return ClientHello(random, session_id, suites, extensions)
 
 
 def _decode_server_hello(r: Reader) -> ServerHello:
     if r.u16() != LEGACY_VERSION:
-        raise DecodeError("bad legacy_version", kind="version")
+        raise DecodeError("bad legacy_version")
     random = r.take(32)
     session_id = r.vector(1)
     suite = r.u16()
     if r.u8() != 0:
-        raise DecodeError("nonzero compression method", kind="compression")
+        raise DecodeError("nonzero compression method")
     extensions = ExtensionBlock.decode(r)
     if extensions.has(ExtensionType.SSI_PARAMETERS):
-        raise DecodeError("ssi_parameters not allowed in ServerHello", kind="context")
+        raise DecodeError("ssi_parameters not allowed in ServerHello")
     return ServerHello(random, session_id, suite, extensions)
 
 
@@ -433,7 +426,7 @@ def _decode_ssi_request(r: Reader) -> SsiRequest:
     expected = {int(ExtensionType.SSI_PARAMETERS), int(ExtensionType.SIGNATURE_ALGORITHMS)}
     if set(types) != expected or len(types) != 2:
         raise DecodeError("SSIRequest must carry exactly ssi_parameters and"
-                          " signature_algorithms", kind="context")
+                          " signature_algorithms")
     params = SsiParameters.decode(block.get(ExtensionType.SSI_PARAMETERS))
     algorithms = decode_signature_algorithms(block.get(ExtensionType.SIGNATURE_ALGORITHMS))
     return SsiRequest(params, algorithms)
@@ -450,7 +443,7 @@ def decode_prefix(data: bytes) -> tuple[HandshakeMessage, int]:
         msg_type = outer.u8()
         body = outer.vector(3)
     except WireError as exc:
-        raise DecodeError(f"framing: {exc}", kind="length") from exc
+        raise DecodeError(f"framing: {exc}") from exc
     consumed = outer.pos
     r = Reader(body)
     try:
@@ -461,15 +454,13 @@ def decode_prefix(data: bytes) -> tuple[HandshakeMessage, int]:
         elif msg_type == HandshakeType.ENCRYPTED_EXTENSIONS:
             block = ExtensionBlock.decode(r)
             if block.has(ExtensionType.SSI_PARAMETERS):
-                raise DecodeError("ssi_parameters not allowed in EncryptedExtensions",
-                                  kind="context")
+                raise DecodeError("ssi_parameters not allowed in EncryptedExtensions")
             msg = EncryptedExtensions(block)
         elif msg_type == HandshakeType.CERTIFICATE_REQUEST:
             context = r.vector(1)
             block = ExtensionBlock.decode(r)
             if block.has(ExtensionType.SSI_PARAMETERS):
-                raise DecodeError("ssi_parameters not allowed in CertificateRequest",
-                                  kind="context")
+                raise DecodeError("ssi_parameters not allowed in CertificateRequest")
             msg = CertificateRequest(context, block)
         elif msg_type == HandshakeType.SSI_REQUEST:
             msg = _decode_ssi_request(r)
@@ -485,15 +476,15 @@ def decode_prefix(data: bytes) -> tuple[HandshakeMessage, int]:
             msg = DidVerify(r.u16(), r.vector(2))
         elif msg_type == HandshakeType.FINISHED:
             if not r.remaining():
-                raise DecodeError("empty Finished", kind="length")
+                raise DecodeError("empty Finished")
             msg = Finished(r.take(r.remaining()))
         else:
-            raise DecodeError(f"unknown message type {msg_type}", kind="type")
+            raise DecodeError(f"unknown message type {msg_type}")
         r.expect_end()
     except WireError as exc:
         name = (HandshakeType(msg_type).name
                 if msg_type in HandshakeType._value2member_map_ else str(msg_type))
-        raise DecodeError(f"{name}: {exc}", kind="length") from exc
+        raise DecodeError(f"{name}: {exc}") from exc
     return msg, consumed
 
 
@@ -501,7 +492,7 @@ def decode(data: bytes) -> HandshakeMessage:
     """Strict decode of exactly one framed message."""
     msg, consumed = decode_prefix(data)
     if consumed != len(data):
-        raise DecodeError(f"{len(data) - consumed} trailing bytes", kind="length")
+        raise DecodeError(f"{len(data) - consumed} trailing bytes")
     return msg
 
 

@@ -43,7 +43,7 @@ class ResolutionInterceptor(handshake.TcpServer):
                  host: str = "127.0.0.1", port: int = 0):
         if not plaintext and attacker_x509 is None:
             raise ValueError("impersonating the node over TLS needs a certificate")
-        super().__init__(host, port, backlog=32, conn_timeout=10.0)
+        super().__init__(host, port, conn_timeout=10.0)
         self.upstream = upstream
         self.forged_document = forged_document
         self.plaintext = plaintext
@@ -117,7 +117,6 @@ def mitm_resolution_attack(attacker_keys: KeyPair, victim_did: Did,
                            victim_vc: VerifiableCredential | None = None,
                            relying_identity: handshake.SsiIdentity | None = None,
                            trust_store: TrustStore | None = None,
-                           supported_methods: tuple[int, ...] = (),
                            rng=None) -> AttackOutcome:
     """Impersonate `victim_did` towards a relying client.
 
@@ -130,8 +129,7 @@ def mitm_resolution_attack(attacker_keys: KeyPair, victim_did: Did,
     if trust_store is None:
         trust_store = TrustStore()
         trust_store.trust_did(victim_did)
-    if not supported_methods:
-        supported_methods = (victim_did.method.code,)
+    supported_methods = (victim_did.method.code,)
     if relying_identity is None:
         if mode is not handshake.Mode.DID:
             raise ValueError("VC-mode attack needs the relying client's identity")

@@ -184,7 +184,7 @@ class _CellServer(handshake.TcpServer):
     handshake completion."""
 
     def __init__(self, host: str):
-        super().__init__(host, 0, backlog=8, conn_timeout=30.0)
+        super().__init__(host, 0, conn_timeout=30.0)
         self.configs: queue.Queue[handshake.EndpointConfig] = queue.Queue()
         self.results: queue.Queue = queue.Queue()
 
@@ -294,7 +294,6 @@ class ValidationReport:
     symmetry: list[tuple[str, str, str, float, float, bool]]
     ordering: list[tuple[str, str, bool]]
     inputs: dict[str, ModelInputs]
-    tolerance: float = FIDELITY_TOLERANCE
 
     @property
     def passed(self) -> bool:
@@ -303,8 +302,7 @@ class ValidationReport:
                 and all(ok for *_rest, ok in self.ordering))
 
 
-def validate(measurements: MeasurementSet,
-             tolerance: float = FIDELITY_TOLERANCE) -> ValidationReport:
+def validate(measurements: MeasurementSet) -> ValidationReport:
     """Compare measured means with the closed-form estimates per cell."""
     checks: list[CellCheck] = []
     symmetry, ordering, inputs_by_suite = [], [], {}
@@ -318,7 +316,8 @@ def validate(measurements: MeasurementSet,
                 continue
             estimate = estimate_for_cell(inputs, cell)
             rel = abs(measured.mean - estimate) / measured.mean if measured.mean else 0.0
-            checks.append(CellCheck(suite, cell, measured, estimate, rel, rel <= tolerance))
+            checks.append(CellCheck(suite, cell, measured, estimate, rel,
+                                    rel <= FIDELITY_TOLERANCE))
 
         # hybrid symmetry: both orientations of each hybrid mode coincide
         for a, b in HYBRID_PAIRS:
@@ -345,7 +344,7 @@ def validate(measurements: MeasurementSet,
         if did_mean.n and vc_mean.n:
             ordering.append((ed, "did <= vc", did_mean.mean <= vc_mean.mean))
 
-    return ValidationReport(checks, symmetry, ordering, inputs_by_suite, tolerance)
+    return ValidationReport(checks, symmetry, ordering, inputs_by_suite)
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +447,7 @@ def validation_markdown(report: ValidationReport) -> str:
     lines += ["", "### Orderings", ""]
     for suite, label, ok in report.ordering:
         lines.append(f"- {suite}: {label}: {'ok' if ok else 'VIOLATED'}")
-    return _table(f"## Model validation (tolerance {report.tolerance:.0%})",
+    return _table(f"## Model validation (tolerance {FIDELITY_TOLERANCE:.0%})",
                   ["suite", "cell", "measured ms", "estimate ms", "rel. error", "ok"],
                   rows) + "\n".join(lines) + "\n"
 

@@ -61,12 +61,11 @@ class Universe:
 
 
 def issue_credential(issuer_keys: KeyPair, issuer_did: Did, subject: Did,
-                     claims: dict[str, str], days: int = 30,
-                     rng: Rng = SYSTEM_RNG) -> VerifiableCredential:
+                     claims: dict[str, str], rng: Rng = SYSTEM_RNG) -> VerifiableCredential:
     now = datetime.datetime.now(datetime.timezone.utc)
     return vc_issue(issuer_keys, issuer_did, subject, claims,
                     now - datetime.timedelta(minutes=5),
-                    now + datetime.timedelta(days=days),
+                    now + datetime.timedelta(days=30),
                     extra_types=("IoTCredential",), rng=rng)
 
 

@@ -222,7 +222,7 @@ class MessageStream:
             if len(self._handshake_buf) >= 4:
                 body_len = int.from_bytes(self._handshake_buf[1:4], "big")
                 if body_len > MAX_FRAGMENT * 4:
-                    raise DecodeError("handshake message implausibly large", kind="length")
+                    raise DecodeError("handshake message implausibly large")
                 if len(self._handshake_buf) >= 4 + body_len:
                     raw = self._handshake_buf[:4 + body_len]
                     self._handshake_buf = self._handshake_buf[4 + body_len:]

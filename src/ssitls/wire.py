@@ -4,11 +4,10 @@ from __future__ import annotations
 
 
 class WireError(Exception):
-    """Malformed wire data. `position` is the offset the error was detected at."""
+    """Malformed wire data; the message names the offset it was detected at."""
 
     def __init__(self, message: str, position: int = 0):
         super().__init__(f"{message} (at byte {position})")
-        self.position = position
 
 
 class Reader:

@@ -34,7 +34,7 @@ from ssitls.messages import HandshakeType
 from ssitls.mitm import mitm_resolution_attack
 from ssitls.provision import build_universe
 
-from test_handshake import pair_results, assert_flow
+from test_handshake import FLOWS, pair_results, assert_flow
 
 
 @contextlib.contextmanager
@@ -50,22 +50,6 @@ def criterion(number: int, name: str):
 # ---------------------------------------------------------------------------
 # C1: conformance matrix
 # ---------------------------------------------------------------------------
-
-FLOW_CELLS = [
-    ("x509-uni", Mode.X509, {}, Flow.ORIGINAL),
-    ("x509-mut", Mode.X509,
-     {"request_client_auth": True, "client_auth_mode": "x509"}, Flow.ORIGINAL),
-    ("vc-uni", Mode.VC, {}, Flow.SSI_VC),
-    ("vc-mut", Mode.VC, {"request_client_auth": True}, Flow.SSI_VC),
-    ("did-uni", Mode.DID, {}, Flow.SSI_DID),
-    ("did-mut", Mode.DID, {"request_client_auth": True}, Flow.SSI_DID),
-    ("hybrid-2a", Mode.VC,
-     {"request_client_auth": True, "client_auth_mode": "x509"},
-     Flow.HYBRID_CLIENT_X509),
-    ("hybrid-2b", Mode.VC_PEER_X509, {"request_client_auth": True},
-     Flow.HYBRID_SERVER_X509),
-]
-
 
 def _run_fallback_causes(u) -> None:
     from ssitls.identity import Did
@@ -84,7 +68,7 @@ def test_c1_conformance_matrix(universes):
         started = time.monotonic()
         green = 0
         for suite, u in universes.items():
-            for _name, mode, server_kw, flow in FLOW_CELLS:
+            for _name, mode, server_kw, flow, _client_kind in FLOWS:
                 client, server = pair_results(u.client_config(mode),
                                               u.server_config(**server_kw))
                 assert_flow(client, server, flow)

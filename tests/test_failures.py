@@ -394,7 +394,7 @@ def test_nested_channel_failure_is_a_resolution_failure(ed_universe):
             outcome.session.recv()
             outcome.session._records.send_alert(A.HANDSHAKE_FAILURE)
 
-    with AlertingNode("127.0.0.1", 0, backlog=4, conn_timeout=5) as node, \
+    with AlertingNode("127.0.0.1", 0, conn_timeout=5) as node, \
             handshake.HandshakeServer(u.server_config(), conn_timeout=5) as server:
         ledger = LedgerClient(*node.address, trust_anchor=node_root, timeout=5)
         sock = socket.create_connection(server.address, timeout=5)

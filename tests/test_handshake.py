@@ -298,6 +298,61 @@ def test_mutated_finished_rejected(ed_universe):
     assert isinstance(client, FinishedMismatch)
 
 
+def _with_scheme(code: int):
+    """Rewrite a CertificateVerify's or DIDVerify's scheme field to `code`."""
+    return lambda raw: raw[:4] + code.to_bytes(2, "big") + raw[6:]
+
+
+@pytest.mark.parametrize("verify_type,mode", [
+    (HandshakeType.CERTIFICATE_VERIFY, Mode.X509),
+    (HandshakeType.DID_VERIFY, Mode.VC),
+], ids=["certificate-verify", "did-verify"])
+@pytest.mark.parametrize("code", [0xFEFE, SignatureSuite.ECDSA_SECP256R1_SHA256.scheme_code],
+                         ids=["unknown", "not-the-peer-key"])
+def test_server_verify_with_a_wrong_scheme_is_a_bad_signature(ed_universe, verify_type,
+                                                              mode, code):
+    """A scheme that names no suite, or one that is not the ed25519 peer
+    key's, ends the client with BadSignature and the server with the client's
+    decrypt_error alert."""
+    u = ed_universe
+    client, server = pair_results(
+        u.client_config(mode),
+        u.server_config(tamper=tamper_type(verify_type, _with_scheme(code))))
+    assert isinstance(client, BadSignature), client
+    assert client.alert == AlertDescription.DECRYPT_ERROR
+    assert isinstance(server, PeerAlert), server
+    assert server.description == AlertDescription.DECRYPT_ERROR
+
+
+@pytest.mark.parametrize("mode,server_kw,request_type", [
+    (Mode.X509, {"request_client_auth": True, "client_auth_mode": "x509"},
+     HandshakeType.CERTIFICATE_REQUEST),
+    (Mode.VC, {"request_client_auth": True}, HandshakeType.SSI_REQUEST),
+], ids=["certificate-request", "ssi-request"])
+def test_every_offer_lists_the_three_schemes_in_suite_order(ed_universe, mode, server_kw,
+                                                            request_type):
+    """ClientHello and the client-auth request each offer 0x0403, 0x0804 and
+    0x0807, in that order."""
+    sent = {}
+
+    def capture(msg_type: int, raw: bytes) -> bytes:
+        sent[msg_type] = raw
+        return raw
+
+    u = ed_universe
+    client, _server = pair_results(u.client_config(mode, tamper=capture),
+                                   u.server_config(tamper=capture, **server_kw))
+    assert isinstance(client, handshake.HandshakeOutcome), client
+    offered = bytes.fromhex("0006 0403 0804 0807")
+    hello = decode(sent[HandshakeType.CLIENT_HELLO])
+    assert hello.extensions.get(ExtensionType.SIGNATURE_ALGORITHMS) == offered
+    request = decode(sent[request_type])
+    if isinstance(request, SsiRequest):
+        assert encode_signature_algorithms(request.signature_algorithms) == offered
+    else:
+        assert request.extensions.get(ExtensionType.SIGNATURE_ALGORITHMS) == offered
+
+
 def test_mutated_vc_proof_rejected(ed_universe):
     u = ed_universe
     vc = u.server_ssi.vc

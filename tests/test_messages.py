@@ -291,6 +291,6 @@ def test_running_transcript_hash_matches_a_full_rehash(ed_universe, monkeypatch,
     client, server = handshake_pair(
         u.client_config(Mode.VC, cipher_suite=cipher),
         u.server_config(request_client_auth=True, cipher_suite=cipher))
-    assert client.cipher is cipher
+    assert client.keys.negotiated_aead is cipher
     assert len(checks) == len(client.transcript.entries) + len(server.transcript.entries)
     assert all(got == want for got, want in checks)

@@ -59,6 +59,46 @@ def test_no_library_subclass_redefines_a_traced_method():
     assert not redefined
 
 
+# Traced spans that nothing calls through a wrapped binding, so they read 0
+# on every run. An entry leaves this table when its span is rebound or its
+# binding gets a caller; none may join it.
+UNREACHABLE_SPANS = {
+    # `handshake.process_certificate` calls the unwrapped `certs.leaf_key`,
+    # so the leaf's key extraction counts as handshake self time
+    # (CHANGES.md, FOUND: certs.leaf_parse).
+    "certs.leaf_parse",
+}
+
+
+def _called_bindings() -> set[tuple[str, str]]:
+    """(module, name) of each binding a call looks up: a bare `name(...)` in
+    a library module, or `module.name(...)` in the library or the benchmark."""
+    library = Path(ssitls.__path__[0])
+    found = set()
+    for path in sorted(library.glob("*.py")) + sorted(PERFBENCH.glob("*.py")):
+        in_library = path.parent == library
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            callee = node.func
+            if isinstance(callee, ast.Name) and in_library:
+                found.add((path.stem, callee.id))
+            elif isinstance(callee, ast.Attribute) and isinstance(callee.value, ast.Name):
+                found.add((callee.value.id, callee.attr))
+    return found
+
+
+def test_every_traced_span_has_a_caller():
+    """A span whose bindings no code calls reads 0 on every run, however the
+    work it was meant to time moves."""
+    tracing = _tracing_module()
+    called = _called_bindings()
+    spans = {name for name, _mod, _attr in tracing.FUNCTIONS}
+    reachable = {name for name, mod, attr in tracing.FUNCTIONS
+                 if (mod.__name__.rpartition(".")[2], attr) in called}
+    assert spans - reachable == UNREACHABLE_SPANS
+
+
 def _private_key_decoders() -> set[tuple[str, str]]:
     """(module, function) of each call to a `serialization.load_*_private_key`
     function in the library."""
