@@ -17,7 +17,7 @@ from cryptography.hazmat.primitives import hashes, serialization
 from cryptography.hazmat.primitives.asymmetric import ec, ed25519, padding, rsa
 
 from .crypto import (CryptoError, KeyPair, Rng, SYSTEM_RNG, SignatureSuite, encode_public_key,
-                     generate_keypair, signing_key, suite_of_key)
+                     generate_keypairs, signing_key, suite_of_key)
 
 
 class CertificateError(Exception):
@@ -57,9 +57,7 @@ def make_chain(suite: SignatureSuite, subject: str, rng: Rng = SYSTEM_RNG,
     now = datetime.datetime.now(datetime.timezone.utc) - datetime.timedelta(minutes=5)
     until = now + datetime.timedelta(days=valid_days)
 
-    root_keys = generate_keypair(suite, rng)
-    inter_keys = generate_keypair(suite, rng)
-    leaf_keys = generate_keypair(suite, rng)
+    root_keys, inter_keys, leaf_keys = generate_keypairs(suite, 3, rng)
 
     ca_usage = x509.KeyUsage(digital_signature=False, content_commitment=False,
                              key_encipherment=False, data_encipherment=False,

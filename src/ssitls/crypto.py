@@ -179,9 +179,11 @@ class KeyPair:
 
 
 def generate_keypair(suite: SignatureSuite, rng: Rng = SYSTEM_RNG) -> KeyPair:
-    """Fresh identity key pair. RSA generation always uses OS randomness
-    (the underlying library does not take an injected source); the other
-    suites derive the secret from `rng`, so seeded runs are reproducible."""
+    """Fresh identity key pair, its key object cached for `sign`. RSA
+    generation always uses OS randomness (the underlying library does not
+    take an injected source) and draws nothing from `rng`; the other suites
+    derive the secret from `rng`, so seeded runs are reproducible.
+    `generate_keypairs` makes a batch."""
     if suite is SignatureSuite.ED25519:
         key = ed25519.Ed25519PrivateKey.from_private_bytes(rng.bytes(32))
     elif suite is SignatureSuite.ECDSA_SECP256R1_SHA256:
@@ -194,6 +196,21 @@ def generate_keypair(suite: SignatureSuite, rng: Rng = SYSTEM_RNG) -> KeyPair:
     keys = KeyPair(suite, _encode_secret(key), encode_public_key(suite, key.public_key()))
     remember_secret_key(suite, keys.secret_key, key)
     return keys
+
+
+def generate_keypairs(suite: SignatureSuite, count: int,
+                      rng: Rng = SYSTEM_RNG) -> list[KeyPair]:
+    """`count` calls of `generate_keypair`. An RSA batch runs on up to one
+    worker thread per CPU, since the prime search releases the GIL and
+    draws nothing from `rng`; the other suites draw from `rng` in order, in
+    this thread, so a seeded batch equals the same calls made one by one."""
+    workers = min(count, os.cpu_count() or 1)
+    if suite is not SignatureSuite.RSA_PSS_RSAE_SHA256 or workers <= 1:
+        return [generate_keypair(suite, rng) for _ in range(count)]
+    # imported here: every process that signs imports this module at start-up
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(workers) as pool:
+        return list(pool.map(generate_keypair, [suite] * count))
 
 
 def suite_of_key(public_key) -> SignatureSuite:
@@ -433,21 +450,31 @@ class SessionKeys:
     negotiated_aead: CipherSuite
 
 
+def _schedule_constants(cipher: CipherSuite) -> tuple[bytes, bytes, bytes]:
+    """(early secret, Derive-Secret(early secret, "derived", ""), Hash(""))
+    without a PSK: the same in every handshake under `cipher`."""
+    zeros = bytes(cipher.hash_len)
+    early = hkdf_extract(cipher, zeros, zeros)
+    empty = cipher.transcript_hash(b"")
+    return early, derive_secret(cipher, early, b"derived", empty), empty
+
+
+_SCHEDULE_CONSTANTS = {cipher: _schedule_constants(cipher) for cipher in CipherSuite}
+
+
 class KeySchedule:
     """Incremental key-schedule ladder: early -> handshake -> master."""
 
     def __init__(self, cipher: CipherSuite):
         self.cipher = cipher
-        zeros = bytes(cipher.hash_len)
-        self.early_secret = hkdf_extract(cipher, zeros, zeros)
+        self.early_secret, self._early_derived, self._empty_hash = _SCHEDULE_CONSTANTS[cipher]
         self.handshake_secret: bytes | None = None
         self.master_secret: bytes | None = None
 
     def inject_ecdhe(self, shared_secret: bytes) -> None:
-        empty = self.cipher.transcript_hash(b"")
-        derived = derive_secret(self.cipher, self.early_secret, b"derived", empty)
-        self.handshake_secret = hkdf_extract(self.cipher, derived, shared_secret)
-        derived2 = derive_secret(self.cipher, self.handshake_secret, b"derived", empty)
+        self.handshake_secret = hkdf_extract(self.cipher, self._early_derived, shared_secret)
+        derived2 = derive_secret(self.cipher, self.handshake_secret, b"derived",
+                                 self._empty_hash)
         self.master_secret = hkdf_extract(self.cipher, derived2, bytes(self.cipher.hash_len))
 
     def handshake_traffic_secrets(self, transcript_hash: bytes) -> tuple[bytes, bytes]:

@@ -108,6 +108,11 @@ class NegotiationMismatch(HandshakeAbort):
     alert = AlertDescription.HANDSHAKE_FAILURE
 
 
+class IllegalParameter(NegotiationMismatch):
+    """A hello field holds a value RFC 8446 forbids there."""
+    alert = AlertDescription.ILLEGAL_PARAMETER
+
+
 class BadIdentity(HandshakeAbort):
     kind = "bad_identity"
     alert = AlertDescription.BAD_CERTIFICATE
@@ -569,6 +574,8 @@ class _Client(_Endpoint):
         self.send_msg(hello)
 
         sh = yield from self.recv_msg(HandshakeType.SERVER_HELLO)
+        if sh.session_id != hello.session_id:
+            raise IllegalParameter("legacy_session_id_echo differs from our session id")
         if sh.cipher_suite != config.cipher_suite.code:
             raise NegotiationMismatch(
                 f"server chose unsupported cipher suite 0x{sh.cipher_suite:04x}")

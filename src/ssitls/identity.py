@@ -561,17 +561,22 @@ def derive_did(suite: SignatureSuite, public_key: bytes) -> Did:
 
 
 def did_create(ledger, suite: SignatureSuite, rng: Rng = SYSTEM_RNG) -> tuple[Did, KeyPair]:
-    """Generate identity keys, content-address the document, store it."""
+    """Generate identity keys and register them (`did_register`)."""
+    keys = generate_keypair(suite, rng)
+    return did_register(ledger, keys), keys
+
+
+def did_register(ledger, keys: KeyPair) -> Did:
+    """Content-address the DID document of `keys`, sign it with them and
+    store it as the DID's first record."""
     from .ledger import LedgerRecord  # runtime import to keep layering acyclic
 
-    keys = generate_keypair(suite, rng)
-    did = derive_did(suite, keys.public_key)
-    document = new_did_document(did, suite, keys.public_key)
+    did = derive_did(keys.suite, keys.public_key)
+    document = new_did_document(did, keys.suite, keys.public_key)
     record = LedgerRecord.document_record(did.method_specific_id, 0,
                                           document.to_json_dict())
-    record = record.signed(keys)
-    ledger.put(record)
-    return did, keys
+    ledger.put(record.signed(keys))
+    return did
 
 
 def did_resolve(ledger, did: Did) -> DidDocument | Revoked:

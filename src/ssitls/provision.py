@@ -7,14 +7,14 @@ import datetime
 from dataclasses import dataclass, replace
 
 from .certs import X509Identity, make_chain
-from .crypto import Rng, SYSTEM_RNG, SignatureSuite
+from .crypto import Rng, SYSTEM_RNG, SignatureSuite, generate_keypairs
 from .handshake import EndpointConfig, Mode, SsiIdentity
 from .identity import (
     Did,
     KeyPair,
     TrustStore,
     VerifiableCredential,
-    did_create,
+    did_register,
     vc_issue,
 )
 from .ledger import LedgerStore
@@ -71,7 +71,9 @@ def issue_credential(issuer_keys: KeyPair, issuer_did: Did, subject: Did,
 
 def build_universe(suite: SignatureSuite, store: LedgerStore | None = None,
                    ledger: object | None = None, rng: Rng = SYSTEM_RNG) -> Universe:
-    """Provision issuer, server and client identities under one suite.
+    """Provision issuer, server and client identities under one suite. The
+    three DID keys are one `generate_keypairs` batch, registered in that
+    order, so a seeded universe has the DIDs of three `did_create` calls.
 
     `ledger` is the resolver/writer interface the endpoints use; it defaults
     to direct in-memory access to `store`.
@@ -79,9 +81,10 @@ def build_universe(suite: SignatureSuite, store: LedgerStore | None = None,
     store = store if store is not None else LedgerStore()
     ledger = ledger if ledger is not None else store
 
-    issuer_did, issuer_keys = did_create(ledger, suite, rng)
-    server_did, server_keys = did_create(ledger, suite, rng)
-    client_did, client_keys = did_create(ledger, suite, rng)
+    issuer_keys, server_keys, client_keys = generate_keypairs(suite, 3, rng)
+    issuer_did = did_register(ledger, issuer_keys)
+    server_did = did_register(ledger, server_keys)
+    client_did = did_register(ledger, client_keys)
 
     server_vc = issue_credential(issuer_keys, issuer_did, server_did,
                                  {"role": "server", "device": "unit-a"}, rng=rng)

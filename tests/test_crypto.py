@@ -333,6 +333,50 @@ def test_cache_stays_bounded_while_threads_insert_and_evict(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# Key batches
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("suite", [SignatureSuite.ED25519,
+                                   SignatureSuite.ECDSA_SECP256R1_SHA256])
+def test_a_seeded_batch_equals_the_same_draws_one_by_one(suite, monkeypatch):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("this batch must stay in the calling thread")
+
+    one_by_one = DeterministicRng(7)
+    expected = [generate_keypair(suite, one_by_one) for _ in range(3)]
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    assert crypto.generate_keypairs(suite, 3, DeterministicRng(7)) == expected
+
+
+def test_an_rsa_batch_gives_distinct_pairs_that_sign_without_a_decode(private_key_decodes):
+    suite = SignatureSuite.RSA_PSS_RSAE_SHA256
+    batch = crypto.generate_keypairs(suite, 3)
+    assert len({keys.secret_key for keys in batch}) == 3
+    assert len({keys.public_key for keys in batch}) == 3
+    for keys in batch:
+        assert keys.suite is suite
+        assert verify(suite, keys.public_key, b"m", sign(suite, keys.secret_key, b"m"))
+    assert private_key_decodes == []
+
+
+@pytest.mark.parametrize("cpus,most", [(1, 0), (2, 2)])
+def test_an_rsa_batch_starts_at_most_one_thread_per_cpu(cpus, most, monkeypatch):
+    """One CPU keeps the batch in the calling thread."""
+    started = []
+    start = threading.Thread.start
+
+    def counting(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(crypto.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(threading.Thread, "start", counting)
+    batch = crypto.generate_keypairs(SignatureSuite.RSA_PSS_RSAE_SHA256, 3)
+    assert len(batch) == 3
+    assert len(started) <= most
+
+
+# ---------------------------------------------------------------------------
 # Key schedule: RFC 8448 section 3 replay + independent HKDF oracle
 # ---------------------------------------------------------------------------
 

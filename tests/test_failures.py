@@ -29,6 +29,7 @@ from ssitls.handshake import (
     HandshakeAbort,
     HandshakeStalled,
     handshake_pair,
+    IllegalParameter,
     Mode,
     NegotiationMismatch,
     ResolutionFailure,
@@ -64,6 +65,7 @@ EXPECTED_ALERTS = {
     UnexpectedRecord: A.UNEXPECTED_MESSAGE,
     BadKeyShare: A.ILLEGAL_PARAMETER,
     NegotiationMismatch: A.HANDSHAKE_FAILURE,
+    IllegalParameter: A.ILLEGAL_PARAMETER,
     BadIdentity: A.BAD_CERTIFICATE,
     RevokedIdentity: A.CERTIFICATE_REVOKED,
     BadSignature: A.DECRYPT_ERROR,

@@ -30,6 +30,7 @@ from ssitls.handshake import (
     FinishedMismatch,
     Flow,
     HandshakeAbort,
+    IllegalParameter,
     Mode,
     NegotiationMismatch,
     ResolutionFailure,
@@ -605,6 +606,25 @@ def test_client_answers_a_short_key_share_with_illegal_parameter(ed_universe):
         u.client_config(Mode.X509),
         u.server_config(tamper=tamper_type(HandshakeType.SERVER_HELLO, short_share)))
     assert isinstance(client, BadKeyShare), client
+    assert isinstance(server, PeerAlert), server
+    assert server.description == AlertDescription.ILLEGAL_PARAMETER
+
+
+def test_client_answers_a_wrong_session_id_echo_with_illegal_parameter(ed_universe):
+    """RFC 8446 section 4.1.3: legacy_session_id_echo must be the client's
+    legacy_session_id."""
+    def flip_echo(raw: bytes) -> bytes:
+        hello = decode(raw)
+        echo = bytearray(hello.session_id)
+        echo[0] ^= 0x01
+        return encode(dataclasses.replace(hello, session_id=bytes(echo)))
+
+    u = ed_universe
+    client, server = pair_results(
+        u.client_config(Mode.X509),
+        u.server_config(tamper=tamper_type(HandshakeType.SERVER_HELLO, flip_echo)))
+    assert isinstance(client, IllegalParameter), client
+    assert client.alert == AlertDescription.ILLEGAL_PARAMETER
     assert isinstance(server, PeerAlert), server
     assert server.description == AlertDescription.ILLEGAL_PARAMETER
 

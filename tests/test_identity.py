@@ -23,8 +23,10 @@ from ssitls.identity import (
     base58btc_decode,
     base58btc_encode,
     canonical_json,
+    derive_did,
     did_create,
     did_deactivate,
+    did_register,
     did_resolve,
     did_update,
     load_issuer_key,
@@ -38,6 +40,7 @@ from ssitls.identity import (
     vc_verify,
 )
 from ssitls.ledger import LedgerRejected, LedgerStore
+from ssitls.provision import build_universe
 
 RNG = DeterministicRng(2024)
 NOW = datetime.datetime(2026, 8, 9, 12, 0, tzinfo=datetime.timezone.utc)
@@ -300,6 +303,25 @@ def test_create_binds_table_proof_type():
     did_e, _ = did_create(store, SignatureSuite.ECDSA_SECP256R1_SHA256, RNG)
     assert did_resolve(store, did_e).authentication[0].type == \
         "EcdsaSecp256r1Signature2023"
+
+
+def test_register_stores_the_document_of_the_given_keys():
+    store = LedgerStore()
+    keys = generate_keypair(SignatureSuite.ECDSA_SECP256R1_SHA256, RNG)
+    did = did_register(store, keys)
+    assert did == derive_did(keys.suite, keys.public_key)
+    assert did_resolve(store, did).authentication_key() == (keys.suite, keys.public_key)
+
+
+@pytest.mark.parametrize("suite", [SignatureSuite.ED25519,
+                                   SignatureSuite.ECDSA_SECP256R1_SHA256])
+def test_a_seeded_universe_registers_its_first_three_draws(suite):
+    """The issuer, server and client keys are the seed's first three draws,
+    in that order, so seeded universes stay reproducible."""
+    rng = DeterministicRng(7)
+    expected = [derive_did(suite, generate_keypair(suite, rng).public_key) for _ in range(3)]
+    u = build_universe(suite, rng=DeterministicRng(7))
+    assert [u.issuer_did, u.server_ssi.did, u.client_ssi.did] == expected
 
 
 def test_resolve_unknown_and_unsupported():
