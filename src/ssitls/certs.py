@@ -44,18 +44,18 @@ def _name(common_name: str) -> x509.Name:
     ])
 
 
-def make_chain(suite: SignatureSuite, subject: str, rng: Rng = SYSTEM_RNG,
-               valid_days: int = 365) -> tuple[X509Identity, bytes]:
+def make_chain(suite: SignatureSuite, subject: str,
+               rng: Rng = SYSTEM_RNG) -> tuple[X509Identity, bytes]:
     """Three-link chain for `subject` with the usual production extension
     profile (key identifiers, key-usage bits, SAN on the leaf); returns
-    (identity, root DER).
+    (identity, root DER). Each certificate is valid for 365 days.
 
     All three certificates use the same signature suite. RSA certificates
     are signed PKCS#1 v1.5 as is conventional for the X.509 layer; the PSS
     scheme applies only to handshake signatures.
     """
     now = datetime.datetime.now(datetime.timezone.utc) - datetime.timedelta(minutes=5)
-    until = now + datetime.timedelta(days=valid_days)
+    until = now + datetime.timedelta(days=365)
 
     root_keys, inter_keys, leaf_keys = generate_keypairs(suite, 3, rng)
 

@@ -411,15 +411,13 @@ def cmd_identity(args) -> int:
         print(f"wrote issuer key for {did.text}")
         return 0
 
-    if args.identity_cmd == "make-x509-chain":
-        ident, root = make_chain(_suite(args.suite), args.subject)
-        save_pem_chain(Path(args.out_chain), list(ident.chain))
-        save_keypair(Path(args.out_key), ident.keys)
-        save_pem_chain(Path(args.out_root), [root])
-        print(f"chain for {args.subject} written")
-        return 0
-
-    raise CliError(f"unknown identity subcommand {args.identity_cmd!r}")
+    # argparse leaves one subcommand: make-x509-chain
+    ident, root = make_chain(_suite(args.suite), args.subject)
+    save_pem_chain(Path(args.out_chain), list(ident.chain))
+    save_keypair(Path(args.out_key), ident.keys)
+    save_pem_chain(Path(args.out_root), [root])
+    print(f"chain for {args.subject} written")
+    return 0
 
 
 def cmd_ledger(args) -> int:
@@ -445,10 +443,8 @@ def cmd_ledger(args) -> int:
                 pass
         return 0
 
-    if args.ledger_cmd == "attack-demo":
-        return _attack_demo(_suite(args.suite))
-
-    raise CliError(f"unknown ledger subcommand {args.ledger_cmd!r}")
+    # argparse leaves one subcommand: attack-demo
+    return _attack_demo(_suite(args.suite))
 
 
 def _attack_demo(suite: SignatureSuite) -> int:

@@ -42,7 +42,6 @@ from .messages import (
     CertificateRequest,
     CertificateVerify,
     ClientHello,
-    DecodeError,
     DidMessage,
     DidVerify,
     EncryptedExtensions,
@@ -55,6 +54,7 @@ from .messages import (
     ServerHello,
     SsiParameters,
     SsiRequest,
+    TLS_1_3,
     VcMessage,
     encode,
     encode_key_share_client,
@@ -62,13 +62,15 @@ from .messages import (
     encode_signature_algorithms,
     decode_key_share_client,
     decode_key_share_server,
+    decode_selected_version,
     decode_signature_algorithms,
+    decode_supported_versions,
 )
 from .record import (
     AlertDescription,
     ContentType,
+    DecodeError,
     HandshakeAbort,
-    MessageStream,
     PeerAlert,
     RecordLayer,
     TransportClosed,
@@ -113,6 +115,11 @@ class IllegalParameter(NegotiationMismatch):
     alert = AlertDescription.ILLEGAL_PARAMETER
 
 
+class ProtocolVersion(NegotiationMismatch):
+    """The peer offers or selects no TLS 1.3 (RFC 8446 §4.2.1)."""
+    alert = AlertDescription.PROTOCOL_VERSION
+
+
 class BadIdentity(HandshakeAbort):
     kind = "bad_identity"
     alert = AlertDescription.BAD_CERTIFICATE
@@ -141,11 +148,6 @@ class ResolutionFailure(HandshakeAbort):
 class UnexpectedMessage(HandshakeAbort):
     kind = "unexpected_message"
     alert = AlertDescription.UNEXPECTED_MESSAGE
-
-
-class DecodeAbort(HandshakeAbort):
-    kind = "decode_error"
-    alert = AlertDescription.DECODE_ERROR
 
 
 class BadKeyShare(HandshakeAbort):
@@ -243,9 +245,8 @@ class HandshakeOutcome:
 class SecureSession:
     """Application-data channel once the handshake has completed."""
 
-    def __init__(self, records: RecordLayer, stream: MessageStream):
+    def __init__(self, records: RecordLayer):
         self._records = records
-        self._stream = stream
 
     def send(self, data: bytes) -> None:
         self._records.send(ContentType.APPLICATION_DATA, data)
@@ -254,7 +255,7 @@ class SecureSession:
         """Next application-data record. A failed record sends its alert
         (bad_record_mac for one that fails AEAD) before the abort is raised."""
         try:
-            return blocking(self._stream.next_app_data())
+            return blocking(self._records.next_app_data())
         except HandshakeAbort as exc:
             if exc.alert is not None:
                 self._records.send_alert(exc.alert)
@@ -364,7 +365,6 @@ class _Endpoint:
     def __init__(self, config: EndpointConfig, transport):
         self.config = config
         self.records = RecordLayer(transport)
-        self.stream = MessageStream(self.records)
         self.transcript = HandshakeTranscript()
         self.cipher = config.cipher_suite
         self.timers = _Timers()
@@ -380,7 +380,7 @@ class _Endpoint:
         return raw
 
     def recv_msg(self, *expected: HandshakeType):
-        raw = yield from self.stream.next_handshake_raw()
+        raw = yield from self.records.next_handshake_raw()
         if raw[0] not in expected:
             got = (HandshakeType(raw[0]).name
                    if raw[0] in HandshakeType._value2member_map_ else str(raw[0]))
@@ -404,7 +404,7 @@ class _Endpoint:
         """The completed handshake; `secrets` are c_hs, s_hs, c_ap, s_ap."""
         return HandshakeOutcome(flow, SessionKeys(*secrets, self.cipher), peer,
                                 self.transcript, dict(self.timers),
-                                SecureSession(self.records, self.stream))
+                                SecureSession(self.records))
 
     # -- signatures over the transcript --------------------------------------
 
@@ -574,6 +574,11 @@ class _Client(_Endpoint):
         self.send_msg(hello)
 
         sh = yield from self.recv_msg(HandshakeType.SERVER_HELLO)
+        version = sh.extensions.get(ExtensionType.SUPPORTED_VERSIONS)
+        if version is None:
+            raise ProtocolVersion("server selected no version")
+        if decode_selected_version(version) != TLS_1_3:
+            raise IllegalParameter("server selected a version we did not offer")
         if sh.session_id != hello.session_id:
             raise IllegalParameter("legacy_session_id_echo differs from our session id")
         if sh.cipher_suite != config.cipher_suite.code:
@@ -590,7 +595,7 @@ class _Client(_Endpoint):
         schedule = KeySchedule(self.cipher)
         schedule.inject_ecdhe(shared)
         c_hs, s_hs = schedule.handshake_traffic_secrets(self.transcript_hash())
-        self.stream.protect_reads(self.cipher, s_hs)
+        self.records.protect_reads(self.cipher, s_hs)
         self.records.protect_writes(self.cipher, c_hs)
 
         yield from self.recv_msg(HandshakeType.ENCRYPTED_EXTENSIONS)
@@ -617,7 +622,7 @@ class _Client(_Endpoint):
 
         yield from self.check_finished(s_hs)
         c_ap, s_ap = schedule.app_traffic_secrets(self.transcript_hash())
-        self.stream.protect_reads(self.cipher, s_ap)
+        self.records.protect_reads(self.cipher, s_ap)
 
         if client_auth is not None:
             self.send_identity(client_auth)
@@ -687,6 +692,9 @@ class _Server(_Endpoint):
         ephemeral = generate_x25519(rng)
 
         hello = yield from self.recv_msg(HandshakeType.CLIENT_HELLO)
+        versions = hello.extensions.get(ExtensionType.SUPPORTED_VERSIONS)
+        if versions is None or TLS_1_3 not in decode_supported_versions(versions):
+            raise ProtocolVersion("client offers no TLS 1.3")
         if config.cipher_suite.code not in hello.cipher_suites:
             raise NegotiationMismatch("no common cipher suite")
         share_raw = hello.extensions.get(ExtensionType.KEY_SHARE)
@@ -716,7 +724,7 @@ class _Server(_Endpoint):
         schedule.inject_ecdhe(shared)
         c_hs, s_hs = schedule.handshake_traffic_secrets(self.transcript_hash())
         self.records.protect_writes(self.cipher, s_hs)
-        self.stream.protect_reads(self.cipher, c_hs)
+        self.records.protect_reads(self.cipher, c_hs)
 
         self.send_msg(EncryptedExtensions())
 
@@ -742,7 +750,7 @@ class _Server(_Endpoint):
             peer = yield from self.verify_peer_identity(msg, decision.ssi_request_methods)
 
         yield from self.check_finished(c_hs)
-        self.stream.protect_reads(self.cipher, c_ap)
+        self.records.protect_reads(self.cipher, c_ap)
         return self.outcome(decision.flow, peer, c_hs, s_hs, c_ap, s_ap)
 
 
@@ -763,16 +771,12 @@ def _run_wrapped(endpoint: _Endpoint):
         # The peer may have aborted with an alert and closed while we were
         # still writing: report its alert, not our failed write.
         try:
-            yield from endpoint.stream.next_handshake_raw()
+            yield from endpoint.records.next_handshake_raw()
         except PeerAlert as alert:
             raise alert from exc
         except Exception:
             pass
         raise TransportClosed(f"peer went away mid-handshake: {exc}") from exc
-    except DecodeError as exc:
-        # malformed input anywhere in the handshake
-        endpoint.records.send_alert(AlertDescription.DECODE_ERROR)
-        raise DecodeAbort(str(exc)) from exc
     except Exception as exc:
         # a bad config, a local fault or a stalled peer: unblock the peer
         endpoint.records.send_alert(AlertDescription.INTERNAL_ERROR)

@@ -308,12 +308,32 @@ class FrameIO:
                 return None
             self._buf += chunk
 
+    def request(self, obj: dict) -> dict:
+        """Send a request frame and return the reply; LedgerError when the
+        peer closes instead."""
+        self.send_frame(obj)
+        response = self.recv_frame()
+        if response is None:
+            raise LedgerError("ledger node closed the connection")
+        return response
+
+    def serve(self, answer) -> None:
+        """Send `answer(request)` for each request frame until the peer closes."""
+        while (request := self.recv_frame()) is not None:
+            self.send_frame(answer(request))
+
 
 def socket_frames(sock: socket.socket) -> FrameIO:
     return FrameIO(sock.sendall, lambda: sock.recv(65536))
 
 
-def session_frames(session: handshake.SecureSession) -> FrameIO:
+def server_frames(conn: socket.socket, x509_identity: X509Identity | None) -> FrameIO:
+    """Frames over an accepted connection: behind an X.509 original
+    handshake, or plaintext when `x509_identity` is None."""
+    if x509_identity is None:
+        return socket_frames(conn)
+    config = handshake.EndpointConfig(x509_identity=x509_identity)
+    session = handshake.run_server(config, conn).session
     return FrameIO(session.send, session.recv)
 
 
@@ -343,17 +363,8 @@ class LedgerNode(handshake.TcpServer):
 
     def serve_one(self, conn: socket.socket) -> None:
         try:
-            if self.insecure_plaintext:
-                frames = socket_frames(conn)
-            else:
-                config = handshake.EndpointConfig(x509_identity=self._identity)
-                outcome = handshake.run_server(config, conn)
-                frames = session_frames(outcome.session)
-            while True:
-                request = frames.recv_frame()
-                if request is None:
-                    return
-                frames.send_frame(self._handle(request))
+            identity = None if self.insecure_plaintext else self._identity
+            server_frames(conn, identity).serve(self._handle)
         except (handshake.HandshakeAbort, LedgerError, OSError) as exc:
             logger.debug("ledger session dropped: %s", exc)
 
@@ -446,11 +457,7 @@ class _LedgerSession(LedgerClient):
         try:
             if self._frames is None:
                 self._frames = self._open()
-            self._frames.send_frame(request)
-            response = self._frames.recv_frame()
-            if response is None:
-                raise DidResolutionError("ledger node closed the connection")
-            return response
+            return self._frames.request(request)
         except handshake.HandshakeAbort as exc:
             # the ledger channel's own failure, never the caller's handshake peer's
             raise DidResolutionError(f"ledger channel failed: {exc}") from exc
@@ -471,7 +478,8 @@ class _LedgerSession(LedgerClient):
         config = handshake.EndpointConfig(
             preferred_mode=handshake.Mode.X509,
             x509_roots=(self.trust_anchor,))
-        return session_frames(handshake.run_client(config, self._sock).session)
+        session = handshake.run_client(config, self._sock).session
+        return FrameIO(session.send, session.recv)
 
     def close(self) -> None:
         if self._sock is not None:

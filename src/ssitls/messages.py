@@ -24,7 +24,8 @@ from cryptography.hazmat.primitives.serialization import Encoding, PublicFormat
 
 from . import certs, identity
 from .crypto import CipherSuite, CryptoError, SignatureSuite, suite_of_key
-from .wire import Reader, WireError, Writer
+from .record import DecodeError
+from .wire import Reader, Writer
 
 LEGACY_VERSION = 0x0303
 TLS_1_3 = 0x0304
@@ -59,10 +60,6 @@ class AuthnMode(enum.IntEnum):
     VC = 2
 
 
-class DecodeError(Exception):
-    """Any malformed wire input; maps to a decode_error alert."""
-
-
 # ---------------------------------------------------------------------------
 # ssi_parameters
 # ---------------------------------------------------------------------------
@@ -92,13 +89,10 @@ class SsiParameters:
     @classmethod
     def decode(cls, data: bytes) -> "SsiParameters":
         r = Reader(data)
-        try:
-            mode_byte = r.u8()
-            count = r.u8()
-            methods = tuple(r.u8() for _ in range(count))
-            r.expect_end()
-        except WireError as exc:
-            raise DecodeError(f"ssi_parameters: {exc}") from exc
+        mode_byte = r.u8()
+        count = r.u8()
+        methods = tuple(r.u8() for _ in range(count))
+        r.expect_end()
         try:
             mode = AuthnMode(mode_byte)
         except ValueError:
@@ -135,19 +129,16 @@ class ExtensionBlock:
 
     @classmethod
     def decode(cls, r: Reader) -> "ExtensionBlock":
-        try:
-            block = Reader(r.vector(2))
-            entries = []
-            seen = set()
-            while block.remaining():
-                t = block.u16()
-                payload = block.vector(2)
-                if t in seen:
-                    raise DecodeError(f"duplicate extension type {t}")
-                seen.add(t)
-                entries.append((t, payload))
-        except WireError as exc:
-            raise DecodeError(f"extension block: {exc}") from exc
+        block = Reader(r.vector(2))
+        entries = []
+        seen = set()
+        while block.remaining():
+            t = block.u16()
+            payload = block.vector(2)
+            if t in seen:
+                raise DecodeError(f"duplicate extension type {t}")
+            seen.add(t)
+            entries.append((t, payload))
         return cls(tuple(entries))
 
 
@@ -158,16 +149,30 @@ def encode_signature_algorithms(suites) -> bytes:
     return Writer().vector(2, inner.getvalue()).getvalue()
 
 
-def decode_signature_algorithms(data: bytes) -> tuple[int, ...]:
+def _u16_list(data: bytes, length_bytes: int, name: str) -> tuple[int, ...]:
     r = Reader(data)
-    try:
-        inner = Reader(r.vector(2, min_len=2))
-        r.expect_end()
-        if inner.remaining() % 2:
-            raise DecodeError("odd signature_algorithms length")
-        return tuple(inner.u16() for _ in range(inner.remaining() // 2))
-    except WireError as exc:
-        raise DecodeError(f"signature_algorithms: {exc}") from exc
+    inner = Reader(r.vector(length_bytes, min_len=2))
+    r.expect_end()
+    if inner.remaining() % 2:
+        raise DecodeError(f"odd {name} length")
+    return tuple(inner.u16() for _ in range(inner.remaining() // 2))
+
+
+def decode_signature_algorithms(data: bytes) -> tuple[int, ...]:
+    return _u16_list(data, 2, "signature_algorithms")
+
+
+def decode_supported_versions(data: bytes) -> tuple[int, ...]:
+    """The versions a ClientHello offers (RFC 8446 §4.2.1)."""
+    return _u16_list(data, 1, "supported_versions")
+
+
+def decode_selected_version(data: bytes) -> int:
+    """The one version a ServerHello's supported_versions selects."""
+    r = Reader(data)
+    version = r.u16()
+    r.expect_end()
+    return version
 
 
 def encode_key_share_client(shares: list[tuple[int, bytes]]) -> bytes:
@@ -179,16 +184,13 @@ def encode_key_share_client(shares: list[tuple[int, bytes]]) -> bytes:
 
 def decode_key_share_client(data: bytes) -> tuple[tuple[int, bytes], ...]:
     r = Reader(data)
-    try:
-        inner = Reader(r.vector(2))
-        r.expect_end()
-        shares = []
-        while inner.remaining():
-            group = inner.u16()
-            shares.append((group, inner.vector(2, min_len=1)))
-        return tuple(shares)
-    except WireError as exc:
-        raise DecodeError(f"key_share: {exc}") from exc
+    inner = Reader(r.vector(2))
+    r.expect_end()
+    shares = []
+    while inner.remaining():
+        group = inner.u16()
+        shares.append((group, inner.vector(2, min_len=1)))
+    return tuple(shares)
 
 
 def encode_key_share_server(group: int, key: bytes) -> bytes:
@@ -197,13 +199,10 @@ def encode_key_share_server(group: int, key: bytes) -> bytes:
 
 def decode_key_share_server(data: bytes) -> tuple[int, bytes]:
     r = Reader(data)
-    try:
-        group = r.u16()
-        key = r.vector(2, min_len=1)
-        r.expect_end()
-        return group, key
-    except WireError as exc:
-        raise DecodeError(f"key_share: {exc}") from exc
+    group = r.u16()
+    key = r.vector(2, min_len=1)
+    r.expect_end()
+    return group, key
 
 
 # ---------------------------------------------------------------------------
@@ -359,16 +358,14 @@ def _encode_body(msg: HandshakeMessage) -> bytes:
     elif isinstance(msg, Finished):
         w.raw(msg.verify_data)
     else:
-        raise DecodeError(f"cannot encode {type(msg).__name__}")
+        raise ValueError(f"cannot encode {type(msg).__name__}")
     return w.getvalue()
 
 
 def encode(msg: HandshakeMessage) -> bytes:
     """Framed wire form: one type byte, 3-byte length, body."""
-    if isinstance(msg, ClientHello) and len(msg.random) != 32:
-        raise DecodeError("ClientHello.random must be 32 bytes")
-    if isinstance(msg, ServerHello) and len(msg.random) != 32:
-        raise DecodeError("ServerHello.random must be 32 bytes")
+    if isinstance(msg, (ClientHello, ServerHello)) and len(msg.random) != 32:
+        raise ValueError(f"{type(msg).__name__}.random must be 32 bytes")
     body = _encode_body(msg)
     return Writer().u8(int(msg.msg_type)).u24(len(body)).raw(body).getvalue()
 
@@ -439,11 +436,8 @@ def decode_prefix(data: bytes) -> tuple[HandshakeMessage, int]:
     malformed; never anything else.
     """
     outer = Reader(data)
-    try:
-        msg_type = outer.u8()
-        body = outer.vector(3)
-    except WireError as exc:
-        raise DecodeError(f"framing: {exc}") from exc
+    msg_type = outer.u8()
+    body = outer.vector(3)
     consumed = outer.pos
     r = Reader(body)
     try:
@@ -481,10 +475,10 @@ def decode_prefix(data: bytes) -> tuple[HandshakeMessage, int]:
         else:
             raise DecodeError(f"unknown message type {msg_type}")
         r.expect_end()
-    except WireError as exc:
+    except DecodeError as exc:
         name = (HandshakeType(msg_type).name
                 if msg_type in HandshakeType._value2member_map_ else str(msg_type))
-        raise DecodeError(f"{name}: {exc}") from exc
+        raise DecodeError(f"{name}: {exc.detail}") from exc
     return msg, consumed
 
 

@@ -19,7 +19,7 @@ from . import handshake
 from .certs import X509Identity, make_chain
 from .crypto import KeyPair, SignatureSuite, generate_keypair
 from .identity import Did, TrustStore, VerifiableCredential, derive_did, new_did_document
-from .ledger import LedgerClient, session_frames, socket_frames
+from .ledger import LedgerClient, server_frames, socket_frames
 
 logger = logging.getLogger(__name__)
 
@@ -53,28 +53,15 @@ class ResolutionInterceptor(handshake.TcpServer):
     def serve_one(self, conn: socket.socket) -> None:
         try:
             if self.plaintext:
-                self._relay_plaintext(conn)
+                with socket.create_connection(self.upstream, timeout=10.0) as upstream:
+                    node = socket_frames(upstream)
+                    socket_frames(conn).serve(
+                        lambda request: self._rewrite(node.request(request)))
             else:
-                self._impersonate_node(conn)
+                # honest resolvers reject the attacker's chain in this handshake
+                server_frames(conn, self.attacker_x509).serve(self._forged_response)
         except Exception as exc:  # the victim aborting is a normal outcome
             logger.debug("interceptor session ended: %s", exc)
-
-    def _relay_plaintext(self, conn: socket.socket) -> None:
-        upstream = socket.create_connection(self.upstream, timeout=10.0)
-        try:
-            client_frames = socket_frames(conn)
-            node_frames = socket_frames(upstream)
-            while True:
-                request = client_frames.recv_frame()
-                if request is None:
-                    return
-                node_frames.send_frame(request)
-                response = node_frames.recv_frame()
-                if response is None:
-                    return
-                client_frames.send_frame(self._rewrite(response))
-        finally:
-            upstream.close()
 
     def _rewrite(self, response: dict) -> dict:
         record = response.get("record")
@@ -86,20 +73,14 @@ class ResolutionInterceptor(handshake.TcpServer):
                 self.rewrites += 1
         return response
 
-    def _impersonate_node(self, conn: socket.socket) -> None:
-        config = handshake.EndpointConfig(x509_identity=self.attacker_x509)
-        outcome = handshake.run_server(config, conn)  # rejected by honest resolvers
-        frames = session_frames(outcome.session)
-        while True:
-            request = frames.recv_frame()
-            if request is None:
-                return
-            if request.get("op") == "get":
-                frames.send_frame({"ok": True, "record": {
-                    "id": request.get("id", ""), "seq": 0,
-                    "payload": {"document": self.forged_document}, "sig": ""}})
-            else:
-                frames.send_frame({"ok": False, "error": "rejected"})
+    def _forged_response(self, request: dict) -> dict:
+        """The impersonated node's answer: the forged document for a `get`,
+        a rejection for anything else."""
+        if request.get("op") != "get":
+            return {"ok": False, "error": "rejected"}
+        return {"ok": True, "record": {
+            "id": request.get("id", ""), "seq": 0,
+            "payload": {"document": self.forged_document}, "sig": ""}}
 
 
 @dataclass

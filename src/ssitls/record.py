@@ -7,7 +7,6 @@ import enum
 import struct
 
 from .crypto import CipherSuite, aead, traffic_keys
-from .messages import DecodeError
 
 MAX_FRAGMENT = 1 << 14
 _HEADER = struct.Struct("!BHH")
@@ -31,6 +30,7 @@ class AlertDescription(enum.IntEnum):
     ILLEGAL_PARAMETER = 47
     DECODE_ERROR = 50
     DECRYPT_ERROR = 51
+    PROTOCOL_VERSION = 70
     INTERNAL_ERROR = 80
 
 
@@ -69,6 +69,12 @@ class TransportClosed(HandshakeAbort):
     """The peer went away without an alert."""
     kind = "transport_closed"
     alert = None
+
+
+class DecodeError(HandshakeAbort):
+    """Any malformed vector, extension or message (wire.Reader raises it)."""
+    kind = "decode_error"
+    alert = AlertDescription.DECODE_ERROR
 
 
 class RecordError(HandshakeAbort):
@@ -110,7 +116,9 @@ class _DirectionState:
 
 
 class RecordLayer:
-    """One connection's record framing over an ordered byte stream.
+    """One connection's record framing over an ordered byte stream, and the
+    demultiplexing of its records into handshake messages and application
+    data.
 
     `transport` needs sendall(bytes) and recv(n). Either direction starts
     unprotected and is upgraded independently as traffic secrets become
@@ -121,11 +129,17 @@ class RecordLayer:
         self.transport = transport
         self._write: _DirectionState | None = None
         self._read: _DirectionState | None = None
+        self._handshake_buf = b""
 
     def protect_writes(self, cipher: CipherSuite, secret: bytes) -> None:
         self._write = _DirectionState(cipher, secret)
 
     def protect_reads(self, cipher: CipherSuite, secret: bytes) -> None:
+        """Install new read keys. A key change must fall on a record
+        boundary (RFC 8446 §5.1): handshake bytes still buffered came under
+        the old keys, so they end the connection."""
+        if self._handshake_buf:
+            raise UnexpectedRecord("handshake bytes left over at a key change")
         self._read = _DirectionState(cipher, secret)
 
     # -- sending ------------------------------------------------------------
@@ -197,24 +211,8 @@ class RecordLayer:
         except OSError:
             pass
 
-
-class MessageStream:
-    """Demultiplexes records into handshake messages and application data."""
-
-    def __init__(self, records: RecordLayer):
-        self.records = records
-        self._handshake_buf = b""
-
-    def protect_reads(self, cipher: CipherSuite, secret: bytes) -> None:
-        """Install new read keys. A key change must fall on a record
-        boundary (RFC 8446 §5.1): handshake bytes still buffered here came
-        under the old keys, so they end the connection."""
-        if self._handshake_buf:
-            raise UnexpectedRecord("handshake bytes left over at a key change")
-        self.records.protect_reads(cipher, secret)
-
-    # Sans-I/O readers: each yields its RecordLayer when it needs that layer's
-    # next record and is sent (content type, payload); see handshake._step.
+    # Sans-I/O readers: each yields this layer when it needs its next record
+    # and is sent (content type, payload); see handshake._step.
 
     def next_handshake_raw(self):
         """Raw bytes of the next complete handshake message."""
@@ -227,7 +225,7 @@ class MessageStream:
                     raw = self._handshake_buf[:4 + body_len]
                     self._handshake_buf = self._handshake_buf[4 + body_len:]
                     return raw
-            ctype, payload = yield self.records
+            ctype, payload = yield self
             if ctype == ContentType.HANDSHAKE:
                 self._handshake_buf += payload
             elif ctype == ContentType.ALERT:
@@ -239,7 +237,7 @@ class MessageStream:
 
     def next_app_data(self):
         while True:
-            ctype, payload = yield self.records
+            ctype, payload = yield self
             if ctype == ContentType.APPLICATION_DATA:
                 return payload
             if ctype == ContentType.ALERT:

@@ -2,15 +2,12 @@
 
 from __future__ import annotations
 
-
-class WireError(Exception):
-    """Malformed wire data; the message names the offset it was detected at."""
-
-    def __init__(self, message: str, position: int = 0):
-        super().__init__(f"{message} (at byte {position})")
+from .record import DecodeError
 
 
 class Reader:
+    """Malformed input raises DecodeError naming the byte offset."""
+
     def __init__(self, data: bytes):
         self.data = data
         self.pos = 0
@@ -20,7 +17,7 @@ class Reader:
 
     def take(self, n: int) -> bytes:
         if n < 0 or self.remaining() < n:
-            raise WireError(f"need {n} bytes, have {self.remaining()}", self.pos)
+            raise DecodeError(f"need {n} bytes, have {self.remaining()} (at byte {self.pos})")
         out = self.data[self.pos : self.pos + n]
         self.pos += n
         return out
@@ -38,12 +35,12 @@ class Reader:
         """Length-prefixed opaque vector; enforces the declared floor."""
         n = int.from_bytes(self.take(length_bytes), "big")
         if n < min_len:
-            raise WireError(f"vector shorter than minimum {min_len}", self.pos)
+            raise DecodeError(f"vector shorter than minimum {min_len} (at byte {self.pos})")
         return self.take(n)
 
     def expect_end(self) -> None:
         if self.remaining():
-            raise WireError(f"{self.remaining()} trailing bytes", self.pos)
+            raise DecodeError(f"{self.remaining()} trailing bytes (at byte {self.pos})")
 
 
 class Writer:
@@ -66,7 +63,7 @@ class Writer:
     def vector(self, length_bytes: int, data: bytes) -> "Writer":
         limit = 1 << (8 * length_bytes)
         if len(data) >= limit:
-            raise WireError(f"vector too long for {length_bytes}-byte length")
+            raise ValueError(f"vector too long for {length_bytes}-byte length")
         return self.raw(len(data).to_bytes(length_bytes, "big")).raw(data)
 
     def getvalue(self) -> bytes:

@@ -31,9 +31,8 @@ def test_wrong_root_rejected():
 
 
 def test_validity_window_checked():
-    identity, root = make_chain(SignatureSuite.ED25519, "node.example", RNG,
-                                valid_days=10)
-    future = datetime.datetime.now(datetime.timezone.utc) + datetime.timedelta(days=365)
+    identity, root = make_chain(SignatureSuite.ED25519, "node.example", RNG)
+    future = datetime.datetime.now(datetime.timezone.utc) + datetime.timedelta(days=366)
     with pytest.raises(CertificateError):
         verify_chain(list(identity.chain), [root], at=future)
 
@@ -83,9 +82,8 @@ def _wrong_root():
 
 
 def _expired():
-    identity, root = make_chain(SignatureSuite.ED25519, "node.example", RNG,
-                                valid_days=10)
-    future = datetime.datetime.now(datetime.timezone.utc) + datetime.timedelta(days=365)
+    identity, root = make_chain(SignatureSuite.ED25519, "node.example", RNG)
+    future = datetime.datetime.now(datetime.timezone.utc) + datetime.timedelta(days=366)
     chain = list(identity.chain)
     return (chain, [root], None), (chain, [root], future)
 

@@ -23,7 +23,7 @@ from ssitls.handshake import (
     BadIdentity,
     BadKeyShare,
     BadSignature,
-    DecodeAbort,
+    DecodeError,
     EndpointConfig,
     FinishedMismatch,
     HandshakeAbort,
@@ -32,6 +32,7 @@ from ssitls.handshake import (
     IllegalParameter,
     Mode,
     NegotiationMismatch,
+    ProtocolVersion,
     ResolutionFailure,
     RevokedIdentity,
     UnexpectedMessage,
@@ -66,13 +67,14 @@ EXPECTED_ALERTS = {
     BadKeyShare: A.ILLEGAL_PARAMETER,
     NegotiationMismatch: A.HANDSHAKE_FAILURE,
     IllegalParameter: A.ILLEGAL_PARAMETER,
+    ProtocolVersion: A.PROTOCOL_VERSION,
     BadIdentity: A.BAD_CERTIFICATE,
     RevokedIdentity: A.CERTIFICATE_REVOKED,
     BadSignature: A.DECRYPT_ERROR,
     FinishedMismatch: A.DECRYPT_ERROR,
     ResolutionFailure: A.INTERNAL_ERROR,
     UnexpectedMessage: A.UNEXPECTED_MESSAGE,
-    DecodeAbort: A.DECODE_ERROR,
+    DecodeError: A.DECODE_ERROR,
     HandshakeStalled: None,
 }
 

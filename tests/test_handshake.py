@@ -26,6 +26,7 @@ from ssitls.handshake import (
     BadIdentity,
     BadKeyShare,
     BadSignature,
+    DecodeError,
     EndpointConfig,
     FinishedMismatch,
     Flow,
@@ -33,6 +34,7 @@ from ssitls.handshake import (
     IllegalParameter,
     Mode,
     NegotiationMismatch,
+    ProtocolVersion,
     ResolutionFailure,
     RevokedIdentity,
     SsiIdentity,
@@ -627,6 +629,43 @@ def test_client_answers_a_wrong_session_id_echo_with_illegal_parameter(ed_univer
     assert client.alert == AlertDescription.ILLEGAL_PARAMETER
     assert isinstance(server, PeerAlert), server
     assert server.description == AlertDescription.ILLEGAL_PARAMETER
+
+
+def _set_versions(payload: bytes | None):
+    """A hello mutation that sets supported_versions to `payload`, or
+    drops the extension when it is None."""
+    def mutate(raw: bytes) -> bytes:
+        hello = decode(raw)
+        entries = tuple((t, payload if t == ExtensionType.SUPPORTED_VERSIONS else p)
+                        for t, p in hello.extensions.entries
+                        if payload is not None or t != ExtensionType.SUPPORTED_VERSIONS)
+        return encode(dataclasses.replace(hello, extensions=ExtensionBlock(entries)))
+    return mutate
+
+
+@pytest.mark.parametrize("sender,payload,detector_error,alert", [
+    ("server", None, ProtocolVersion, AlertDescription.PROTOCOL_VERSION),
+    ("server", b"\x03\x03", IllegalParameter, AlertDescription.ILLEGAL_PARAMETER),
+    ("server", b"\x03\x04\x00", DecodeError, AlertDescription.DECODE_ERROR),
+    ("client", None, ProtocolVersion, AlertDescription.PROTOCOL_VERSION),
+    ("client", b"\x02\x03\x03", ProtocolVersion, AlertDescription.PROTOCOL_VERSION),
+    ("client", b"\x03\x03\x04", DecodeError, AlertDescription.DECODE_ERROR),
+])
+def test_a_hello_without_tls13_in_supported_versions_ends_both_sides(
+        ed_universe, sender, payload, detector_error, alert):
+    """RFC 8446 section 4.2.1: the ClientHello must offer TLS 1.3 and the
+    ServerHello must select it; the side that reads the hello detects it."""
+    u = ed_universe
+    hello = HandshakeType.SERVER_HELLO if sender == "server" else HandshakeType.CLIENT_HELLO
+    tamper = tamper_type(hello, _set_versions(payload))
+    if sender == "server":
+        detector, peer = pair_results(u.client_config(Mode.X509), u.server_config(tamper=tamper))
+    else:
+        peer, detector = pair_results(u.client_config(Mode.X509, tamper=tamper), u.server_config())
+    assert type(detector) is detector_error, detector
+    assert detector.alert == alert
+    assert isinstance(peer, PeerAlert), peer
+    assert peer.description == alert
 
 
 def test_server_reports_a_peer_that_resets_mid_handshake(ed_universe):

@@ -34,7 +34,7 @@ from ssitls.ledger import (
     LedgerRecord,
     LedgerRejected,
     LedgerStore,
-    session_frames,
+    server_frames,
 )
 
 RNG = DeterministicRng(31337)
@@ -459,8 +459,7 @@ class _OneAnswerNode(LedgerNode):
     """Answers the first request of each connection, then drops it."""
 
     def serve_one(self, conn):
-        config = handshake.EndpointConfig(x509_identity=self._identity)
-        frames = session_frames(handshake.run_server(config, conn).session)
+        frames = server_frames(conn, self._identity)
         frames.send_frame(self._handle(frames.recv_frame()))
 
 

@@ -6,8 +6,9 @@ import pytest
 from ssitls.certs import make_chain
 from ssitls.crypto import DeterministicRng, SignatureSuite, generate_keypair
 from ssitls.handshake import BadSignature, Mode, SsiIdentity, handshake_pair
-from ssitls.ledger import LedgerNode, LedgerStore
-from ssitls.mitm import forge_document, mitm_resolution_attack
+from ssitls.identity import did_resolve
+from ssitls.ledger import LedgerClient, LedgerNode, LedgerRejected, LedgerStore
+from ssitls.mitm import ResolutionInterceptor, forge_document, mitm_resolution_attack
 from ssitls.provision import build_universe
 
 RNG = DeterministicRng(666)
@@ -58,6 +59,24 @@ def test_vc_mode_attack_follows_same_dichotomy(setup):
             attacker, u.server_ssi.did, node.address, node_root,
             plaintext_resolution=False, **kwargs)
     assert not protected.impersonation_accepted
+
+
+def test_a_resolver_trusting_the_attackers_root_gets_the_forged_document(setup):
+    """The authenticated channel protects only as far as its trust anchor:
+    a resolver that trusts the interceptor's chain reads the forged
+    document, while the interceptor refuses every write."""
+    store, node_identity, _node_root, u, attacker = setup
+    attacker_x509, attacker_root = make_chain(ECDSA, "attacker ledger node", RNG)
+    victim = u.server_ssi.did
+    with LedgerNode(store, node_identity) as node, \
+            ResolutionInterceptor(node.address, forge_document(victim, attacker),
+                                  plaintext=False, attacker_x509=attacker_x509) as interceptor:
+        resolver = LedgerClient(*interceptor.address, trust_anchor=attacker_root)
+        document = did_resolve(resolver, victim)
+        assert document.id == victim
+        assert document.authentication_key()[1] == attacker.public_key
+        with pytest.raises(LedgerRejected):
+            resolver.put(store.get(victim.method_specific_id))
 
 
 def test_attacker_without_interposition_fails_did_verify(setup):
