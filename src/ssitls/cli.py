@@ -59,14 +59,6 @@ _SUITE_ALIASES = {
     "rsa_pss_rsae_sha256": SignatureSuite.RSA_PSS_RSAE_SHA256,
 }
 
-_MODES = {
-    "x509": Mode.X509,
-    "vc": Mode.VC,
-    "did": Mode.DID,
-    "vc-peer-x509": Mode.VC_PEER_X509,
-}
-
-
 class CliError(Exception):
     pass
 
@@ -134,7 +126,7 @@ def load_pem_chain(path: Path) -> list[bytes]:
 # ---------------------------------------------------------------------------
 
 _CONFIG_KEYS = {
-    "mode", "suite", "x509_chain", "x509_key", "x509_roots", "did", "did_key",
+    "mode", "x509_chain", "x509_key", "x509_roots", "did", "did_key",
     "vc", "methods", "ledger", "ledger_root", "ledger_insecure",
     "trusted_issuer_dir", "trusted_dids", "request_client_auth",
     "client_auth_mode", "ssi_request_mode", "seed",
@@ -216,9 +208,10 @@ def build_endpoint_config(values: dict[str, str], base: Path) -> EndpointConfig:
     if values.get("seed"):
         rng = DeterministicRng(int(values["seed"]))
 
-    mode = _MODES.get(values.get("mode", "x509"))
-    if mode is None:
-        raise CliError(f"unknown mode {values.get('mode')!r}")
+    try:
+        mode = Mode(values.get("mode", "x509"))
+    except ValueError:
+        raise CliError(f"unknown mode {values.get('mode')!r}") from None
     ssi_request_mode = {"vc": AuthnMode.VC, "did": AuthnMode.DID}.get(
         values.get("ssi_request_mode", "vc"))
     if ssi_request_mode is None:
@@ -292,6 +285,7 @@ def _check_flow(outcome, expect_flow: str | None) -> int:
 
 def cmd_server(args) -> int:
     config = _load_config(args)
+    config.validate("server")
     results: list[int] = []
 
     def handler(outcome: handshake.HandshakeOutcome) -> None:
@@ -320,28 +314,30 @@ def cmd_server(args) -> int:
 
 def cmd_client(args) -> int:
     config = _load_config(args)
+    config.validate("client")
     host, port = _host_port(args.connect)
-    sock = socket.create_connection((host, port), timeout=15.0)
-    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
     try:
-        outcome = handshake.run_client(config, sock)
-        payload = args.payload.encode()
-        outcome.session.send(payload)
-        echoed = outcome.session.recv()
-        if echoed != payload:
-            print("echo mismatch", file=sys.stderr)
-            return EXIT_CODES["error"]
-        if args.print_outcome:
-            print_outcome(outcome)
-        print(f"echo ok ({len(payload)} bytes)")
-        code = _check_flow(outcome, args.expect_flow)
-        outcome.session.close()
-        return code
+        with socket.create_connection((host, port), timeout=15.0) as sock:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            outcome = handshake.run_client(config, sock)
+            payload = args.payload.encode()
+            outcome.session.send(payload)
+            echoed = outcome.session.recv()
+            if echoed != payload:
+                print("echo mismatch", file=sys.stderr)
+                return EXIT_CODES["error"]
+            if args.print_outcome:
+                print_outcome(outcome)
+            print(f"echo ok ({len(payload)} bytes)")
+            code = _check_flow(outcome, args.expect_flow)
+            outcome.session.close()
+            return code
     except HandshakeAbort as exc:
         print(f"handshake failed: {exc}", file=sys.stderr)
         return _abort_exit(exc)
-    finally:
-        sock.close()
+    except OSError as exc:
+        print(f"connection failed: {exc}", file=sys.stderr)
+        return _abort_exit(exc)
 
 
 def cmd_identity(args) -> int:

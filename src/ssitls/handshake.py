@@ -213,6 +213,8 @@ class EndpointConfig:
         if role == "server":
             if self.x509_identity is None and self.ssi_identity is None:
                 raise ConfigError("server needs an X.509 or SSI identity")
+            if self.client_auth_mode not in ("ssi", "x509"):
+                raise ConfigError(f"unknown client_auth_mode {self.client_auth_mode!r}")
             if self.request_client_auth and self.client_auth_mode == "ssi" and self.ledger is None:
                 raise ConfigError("verifying SSI client auth requires a ledger client")
 
@@ -309,6 +311,7 @@ def negotiate_server_mode(params: SsiParameters | None,
                           config: EndpointConfig) -> ServerDecision:
     """Total decision function from the ClientHello signal and local config."""
     ssi = config.ssi_identity
+    ssi_client_auth = config.request_client_auth and config.client_auth_mode == "ssi"
     server_auth, methods = "x509", ()
     client_auth = "x509" if config.request_client_auth else None
     if params is None:
@@ -316,8 +319,7 @@ def negotiate_server_mode(params: SsiParameters | None,
     elif params.mode is AuthnMode.UNSPECIFIED:
         # peer holds an SSI identity but insists on X.509 from us
         no_x509 = "client requires X.509 server authentication"
-        if (config.request_client_auth and config.client_auth_mode == "ssi"
-                and config.ledger is not None and config.supported_methods):
+        if ssi_client_auth and config.supported_methods:
             client_auth = _KIND_OF_MODE[config.ssi_request_mode]
             methods = tuple(config.supported_methods)
     else:
@@ -326,7 +328,7 @@ def negotiate_server_mode(params: SsiParameters | None,
         if (ssi is not None and ssi.did.method.code in params.did_methods
                 and (wanted == "did" or ssi.vc is not None)):
             server_auth = wanted
-            if client_auth is not None and config.client_auth_mode != "x509":
+            if ssi_client_auth:
                 # mutual SSI keeps the client's mode; methods are the common set
                 client_auth = wanted
                 methods = tuple(m for m in config.supported_methods if m in params.did_methods)
@@ -427,41 +429,63 @@ class _Endpoint:
         if not verify(suite, public_key, content, msg.signature):
             raise BadSignature(f"{purpose} verification failed")
 
-    # -- peer identity processing --------------------------------------------
+    # -- identities ----------------------------------------------------------
 
-    def process_certificate(self, msg: Certificate) -> tuple[SignatureSuite, bytes, PeerIdentity]:
-        try:
-            with _timed(self.timers, "chain_verify"):
-                leaf = certs.verify_chain(msg.chain, list(self.config.x509_roots))
-                suite, public_key = certs.leaf_key(msg.chain[0])
-        except certs.CertificateError as exc:
-            raise BadIdentity(str(exc))
-        peer = PeerIdentity(kind="x509", x509_subject=leaf.subject.rfc4514_string())
-        return suite, public_key, peer
+    def send_identity(self, kind: str) -> None:
+        """Send our `kind` ("x509" | "vc" | "did") identity and its Verify."""
+        ident = self.config.x509_identity if kind == "x509" else self.config.ssi_identity
+        if kind == "x509":
+            self.send_msg(Certificate(b"", tuple((der, b"") for der in ident.chain)))
+        elif kind == "vc":
+            self.send_msg(VcMessage(identity.vc_serialize(ident.vc)))
+        else:
+            self.send_msg(DidMessage(ident.did.method.code, ident.did.text.encode()))
+        purpose = "certificate_verify" if kind == "x509" else "did_verify"
+        self.send_msg(self.make_verify_message(purpose, ident.keys))
 
-    def process_vc_message(self, msg: VcMessage,
-                           acceptable_methods: tuple[int, ...]) -> tuple[SignatureSuite, bytes, PeerIdentity]:
-        try:
-            with _timed(self.timers, "vc_verify"):
-                vc = identity.vc_deserialize(msg.vc)
-                subject = identity.vc_verify(
-                    vc, self.config.trust_store,
-                    datetime.datetime.now(datetime.timezone.utc))
-        except identity.VcRejected as exc:
-            raise BadIdentity(exc.reason.value)
-        except identity.IdentityError as exc:
-            raise BadIdentity(str(exc))
-        if subject.method.code not in acceptable_methods:
-            raise NegotiationMismatch(
-                f"credential subject DID uses method {subject.method.code},"
-                f" not one of the negotiated methods")
-        suite, public_key = self.resolve_peer_key(subject)
-        peer = PeerIdentity(kind="did", did=subject, claims=dict(vc.claims))
-        return suite, public_key, peer
+    def verify_peer_identity(self, msg, methods: tuple[int, ...]):
+        """Verify a received Certificate, VC or DID message and the Verify
+        message that follows it; returns the verified peer. `methods` are
+        the DID methods negotiated for this identity."""
+        if isinstance(msg, Certificate):
+            try:
+                with _timed(self.timers, "chain_verify"):
+                    leaf = certs.verify_chain(msg.chain, list(self.config.x509_roots))
+                    suite, public_key = certs.leaf_key(msg.chain[0])
+            except certs.CertificateError as exc:
+                raise BadIdentity(str(exc))
+            peer = PeerIdentity(kind="x509", x509_subject=leaf.subject.rfc4514_string())
+            purpose, verify_type = "certificate_verify", HandshakeType.CERTIFICATE_VERIFY
+        else:
+            did, claims = self.peer_did(msg, methods)
+            suite, public_key = self.resolve_peer_key(did)
+            peer = PeerIdentity(kind="did", did=did, claims=claims)
+            purpose, verify_type = "did_verify", HandshakeType.DID_VERIFY
+        th_before = self.transcript_hash()
+        verify_msg = yield from self.recv_msg(verify_type)
+        self.check_verify_message(verify_msg, purpose, suite, public_key, th_before)
+        return peer
 
-    def process_did_message(self, msg: DidMessage,
-                            acceptable_methods: tuple[int, ...]) -> tuple[SignatureSuite, bytes, PeerIdentity]:
-        if msg.did_method not in acceptable_methods:
+    def peer_did(self, msg: VcMessage | DidMessage,
+                 methods: tuple[int, ...]) -> tuple[identity.Did, dict]:
+        """The DID a VC or DID message authenticates, with the credential's
+        claims ({} for a bare DID)."""
+        if isinstance(msg, VcMessage):
+            try:
+                with _timed(self.timers, "vc_verify"):
+                    vc = identity.vc_deserialize(msg.vc)
+                    did = identity.vc_verify(vc, self.config.trust_store,
+                                             datetime.datetime.now(datetime.timezone.utc))
+            except identity.VcRejected as exc:
+                raise BadIdentity(exc.reason.value)
+            except identity.IdentityError as exc:
+                raise BadIdentity(str(exc))
+            if did.method.code not in methods:
+                raise NegotiationMismatch(
+                    f"credential subject DID uses method {did.method.code},"
+                    f" not one of the negotiated methods")
+            return did, dict(vc.claims)
+        if msg.did_method not in methods:
             raise NegotiationMismatch(f"DID method {msg.did_method} was not negotiated")
         try:
             did = identity.Did.parse(msg.did.decode("utf-8"))
@@ -471,11 +495,10 @@ class _Endpoint:
             raise BadIdentity("DID method byte disagrees with the DID")
         if not self.config.trust_store.is_trusted_did(did):
             raise BadIdentity(f"{did.text} is not in the trusted-DID list")
-        suite, public_key = self.resolve_peer_key(did)
-        peer = PeerIdentity(kind="did", did=did)
-        return suite, public_key, peer
+        return did, {}
 
     def resolve_peer_key(self, did: identity.Did) -> tuple[SignatureSuite, bytes]:
+        """The key of the peer's DID document, decoded by `did_resolve`."""
         try:
             with _timed(self.timers, "resolve"):
                 resolved = identity.did_resolve(self.config.ledger, did)
@@ -488,44 +511,7 @@ class _Endpoint:
             raise BadIdentity(f"resolved document unusable: {exc}")
         if isinstance(resolved, identity.Revoked):
             raise RevokedIdentity(did.text)
-        try:
-            return resolved.authentication_key()
-        except Exception as exc:
-            raise BadIdentity(f"resolved document unusable: {exc}")
-
-    # -- own identity flight ---------------------------------------------------
-
-    def send_identity(self, kind: str) -> None:
-        """Send our `kind` ("x509" | "vc" | "did") identity and its Verify."""
-        config = self.config
-        ident = config.x509_identity if kind == "x509" else config.ssi_identity
-        if ident is None or (kind == "vc" and ident.vc is None):
-            raise NegotiationMismatch(f"{self.role} lacks the {kind} identity")
-        if kind == "x509":
-            self.send_msg(Certificate(b"", tuple((der, b"") for der in ident.chain)))
-        elif kind == "vc":
-            self.send_msg(VcMessage(identity.vc_serialize(ident.vc)))
-        else:
-            self.send_msg(DidMessage(ident.did.method.code, ident.did.text.encode()))
-        purpose = "certificate_verify" if kind == "x509" else "did_verify"
-        self.send_msg(self.make_verify_message(purpose, ident.keys))
-
-    def verify_peer_identity(self, msg, acceptable_methods: tuple[int, ...]):
-        """Verify a received Certificate, VC or DID message and the Verify
-        message that follows it; returns the verified peer."""
-        if isinstance(msg, Certificate):
-            suite, public_key, peer = self.process_certificate(msg)
-            purpose, verify_type = "certificate_verify", HandshakeType.CERTIFICATE_VERIFY
-        else:
-            if isinstance(msg, VcMessage):
-                suite, public_key, peer = self.process_vc_message(msg, acceptable_methods)
-            else:
-                suite, public_key, peer = self.process_did_message(msg, acceptable_methods)
-            purpose, verify_type = "did_verify", HandshakeType.DID_VERIFY
-        th_before = self.transcript_hash()
-        verify_msg = yield from self.recv_msg(verify_type)
-        self.check_verify_message(verify_msg, purpose, suite, public_key, th_before)
-        return peer
+        return resolved.authentication_key()
 
     def check_finished(self, secret: bytes):
         th_before = self.transcript_hash()
@@ -582,14 +568,14 @@ class _Client(_Endpoint):
         if sh.session_id != hello.session_id:
             raise IllegalParameter("legacy_session_id_echo differs from our session id")
         if sh.cipher_suite != config.cipher_suite.code:
-            raise NegotiationMismatch(
-                f"server chose unsupported cipher suite 0x{sh.cipher_suite:04x}")
+            raise IllegalParameter(
+                f"server chose cipher suite 0x{sh.cipher_suite:04x}, which we did not offer")
         share = sh.extensions.get(ExtensionType.KEY_SHARE)
         if share is None:
             raise NegotiationMismatch("server offered no key share")
         group, server_public = decode_key_share_server(share)
         if group != GROUP_X25519:
-            raise NegotiationMismatch(f"unsupported key-share group {group}")
+            raise IllegalParameter(f"server chose key-share group {group}, which we did not offer")
         shared = self.shared_secret(ephemeral, server_public)
 
         schedule = KeySchedule(self.cipher)
@@ -664,13 +650,9 @@ class _Client(_Endpoint):
                     raise NegotiationMismatch(
                         f"SSIRequest lists method {m} we never offered")
         ident = self.config.ssi_identity
-        if ident is None:
-            raise NegotiationMismatch("no SSI identity for client authentication")
         if ident.did.method.code not in params.did_methods:
             raise NegotiationMismatch(
                 "we hold no DID in a ledger the server can resolve")
-        if params.mode is AuthnMode.VC and ident.vc is None:
-            raise NegotiationMismatch("server asked for a credential we lack")
         if ident.keys.suite.scheme_code not in msg.signature_algorithms:
             raise NegotiationMismatch("our signing suite is not acceptable")
         return _KIND_OF_MODE[params.mode]

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import datetime
 import enum
+import functools
 import json
 import re
 from dataclasses import dataclass, field, replace
@@ -164,11 +165,12 @@ class VerificationMethod:
     controller: Did
     public_key_multibase: str
 
-    @property
+    # decoded once: by the parse's check, then read by whoever verifies with it
+    @functools.cached_property
     def suite(self) -> SignatureSuite:
         return SignatureSuite.from_w3c_name(self.type)
 
-    @property
+    @functools.cached_property
     def public_key(self) -> bytes:
         return multibase_decode(self.public_key_multibase)
 

@@ -499,10 +499,6 @@ class TranscriptEntry:
     sender: str  # "client" | "server"
     raw: bytes
 
-    @property
-    def msg_type(self) -> int:
-        return self.raw[0]
-
 
 @dataclass
 class HandshakeTranscript:

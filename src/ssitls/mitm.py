@@ -94,22 +94,19 @@ def mitm_resolution_attack(attacker_keys: KeyPair, victim_did: Did,
                            node_address: tuple[str, int],
                            node_root: bytes,
                            plaintext_resolution: bool,
+                           trust_store: TrustStore,
                            mode: handshake.Mode = handshake.Mode.DID,
                            victim_vc: VerifiableCredential | None = None,
                            relying_identity: handshake.SsiIdentity | None = None,
-                           trust_store: TrustStore | None = None,
                            rng=None) -> AttackOutcome:
     """Impersonate `victim_did` towards a relying client.
 
     The attacker serves the handshake, presenting the victim's DID (or the
     victim's public VC) and signing DIDVerify with its own key; the relying
-    client resolves via the interceptor. Returns whether the client
-    accepted the impersonation.
+    client, which trusts `trust_store`, resolves via the interceptor.
+    Returns whether the client accepted the impersonation.
     """
     rng = rng or handshake.SYSTEM_RNG
-    if trust_store is None:
-        trust_store = TrustStore()
-        trust_store.trust_did(victim_did)
     supported_methods = (victim_did.method.code,)
     if relying_identity is None:
         if mode is not handshake.Mode.DID:

@@ -28,9 +28,6 @@ class Reader:
     def u16(self) -> int:
         return int.from_bytes(self.take(2), "big")
 
-    def u24(self) -> int:
-        return int.from_bytes(self.take(3), "big")
-
     def vector(self, length_bytes: int, min_len: int = 0) -> bytes:
         """Length-prefixed opaque vector; enforces the declared floor."""
         n = int.from_bytes(self.take(length_bytes), "big")

@@ -1,6 +1,7 @@
 """Command-line surface: provisioning, endpoint round trips driven purely
 by flags/config files, stable exit codes, and the attack demo."""
 
+import socket
 import subprocess
 import sys
 
@@ -174,6 +175,24 @@ def test_config_errors_exit_10(workspace, tmp_path):
     bad.write_text("nonsense_key = 1\n")
     result = cli("client", "--config", str(bad), "--connect", "127.0.0.1:1")
     assert result.returncode == EXIT_CODES["config"]
+
+
+def test_a_server_without_an_identity_exits_10_before_listening():
+    result = cli("server", "--once", timeout=30)
+    assert result.returncode == EXIT_CODES["config"], result.stderr
+    assert "listening on" not in result.stdout
+    assert "server needs an X.509 or SSI identity" in result.stderr
+
+
+def test_a_refused_connect_exits_transport():
+    # a bound port that does not listen refuses the connect
+    with socket.socket() as closed:
+        closed.bind(("127.0.0.1", 0))
+        port = closed.getsockname()[1]
+        result = cli("client", "--connect", f"127.0.0.1:{port}", timeout=30)
+    assert result.returncode == EXIT_CODES["transport"], result.stderr
+    assert "Traceback" not in result.stderr
+    assert "connection failed" in result.stderr
 
 
 def test_a_key_on_an_unnamed_curve_is_a_config_error(tmp_path):

@@ -17,6 +17,7 @@ from ssitls import handshake
 from ssitls.certs import make_chain
 from ssitls.crypto import (
     MANDATORY_CIPHER_SUITE,
+    CipherSuite,
     DeterministicRng,
     SignatureSuite,
     generate_keypair,
@@ -26,6 +27,7 @@ from ssitls.handshake import (
     BadIdentity,
     BadKeyShare,
     BadSignature,
+    ConfigError,
     DecodeError,
     EndpointConfig,
     FinishedMismatch,
@@ -59,6 +61,7 @@ from ssitls.messages import (
     GROUP_X25519,
     AuthnMode,
     Certificate,
+    CertificateRequest,
     ClientHello,
     DidMessage,
     ExtensionBlock,
@@ -66,6 +69,7 @@ from ssitls.messages import (
     HandshakeType,
     SsiParameters,
     SsiRequest,
+    VcMessage,
     decode,
     encode,
     encode_key_share_client,
@@ -73,7 +77,7 @@ from ssitls.messages import (
     encode_signature_algorithms,
 )
 from ssitls.mitm import ResolutionInterceptor
-from ssitls.provision import build_universe
+from ssitls.provision import build_universe, issue_credential
 from ssitls.record import (
     AlertDescription,
     ContentType,
@@ -631,16 +635,20 @@ def test_client_answers_a_wrong_session_id_echo_with_illegal_parameter(ed_univer
     assert server.description == AlertDescription.ILLEGAL_PARAMETER
 
 
-def _set_versions(payload: bytes | None):
-    """A hello mutation that sets supported_versions to `payload`, or
-    drops the extension when it is None."""
+def _set_extension(extension: ExtensionType, payload: bytes | None):
+    """A hello mutation that sets `extension` to `payload`, or drops the
+    extension when it is None."""
     def mutate(raw: bytes) -> bytes:
         hello = decode(raw)
-        entries = tuple((t, payload if t == ExtensionType.SUPPORTED_VERSIONS else p)
+        entries = tuple((t, payload if t == extension else p)
                         for t, p in hello.extensions.entries
-                        if payload is not None or t != ExtensionType.SUPPORTED_VERSIONS)
+                        if payload is not None or t != extension)
         return encode(dataclasses.replace(hello, extensions=ExtensionBlock(entries)))
     return mutate
+
+
+def _set_versions(payload: bytes | None):
+    return _set_extension(ExtensionType.SUPPORTED_VERSIONS, payload)
 
 
 @pytest.mark.parametrize("sender,payload,detector_error,alert", [
@@ -666,6 +674,173 @@ def test_a_hello_without_tls13_in_supported_versions_ends_both_sides(
     assert detector.alert == alert
     assert isinstance(peer, PeerAlert), peer
     assert peer.description == alert
+
+
+def _replace_with(target: HandshakeType, message):
+    return tamper_type(target, lambda raw: encode(message))
+
+
+def _negative_cases(u):
+    """Case -> (client mode, client overrides, server overrides, the side
+    that detects, its error): one row per check on peer input that the
+    flows above never reach."""
+    method = u.server_ssi.did.method.code
+    schemes = tuple(suite.scheme_code for suite in SignatureSuite)
+    ecdsa_only = (SignatureSuite.ECDSA_SECP256R1_SHA256.scheme_code,)
+    p256_share = (23, b"\x04" + bytes(64))
+    mutual = {"request_client_auth": True}
+    foreign = Did.parse("did:iota:" + "c" * 64)
+
+    def ssi_request(params, algorithms=schemes):
+        return dict(mutual, tamper=_replace_with(HandshakeType.SSI_REQUEST,
+                                                 SsiRequest(params, algorithms)))
+
+    return {
+        # the server reads the ClientHello
+        "client-hello-no-common-suite": (
+            Mode.X509, {"cipher_suite": CipherSuite.TLS_AES_128_GCM_SHA256}, {},
+            "server", NegotiationMismatch),
+        "client-hello-no-key-share": (
+            Mode.X509, {"tamper": tamper_type(HandshakeType.CLIENT_HELLO,
+                                              _set_extension(ExtensionType.KEY_SHARE, None))},
+            {}, "server", NegotiationMismatch),
+        "client-hello-no-x25519-share": (
+            Mode.X509, {"tamper": tamper_type(HandshakeType.CLIENT_HELLO, _set_extension(
+                ExtensionType.KEY_SHARE, encode_key_share_client([p256_share])))},
+            {}, "server", NegotiationMismatch),
+        # the client reads the ServerHello (RFC 8446 sections 4.1.3 and 4.2.8)
+        "server-hello-unoffered-suite": (
+            Mode.X509, {}, {"tamper": tamper_type(HandshakeType.SERVER_HELLO, lambda raw: encode(
+                dataclasses.replace(decode(raw),
+                                    cipher_suite=CipherSuite.TLS_AES_128_GCM_SHA256.code)))},
+            "client", IllegalParameter),
+        "server-hello-unoffered-group": (
+            Mode.X509, {}, {"tamper": tamper_type(HandshakeType.SERVER_HELLO, _set_extension(
+                ExtensionType.KEY_SHARE, encode_key_share_server(*p256_share)))},
+            "client", IllegalParameter),
+        "server-hello-no-key-share": (
+            Mode.X509, {}, {"tamper": tamper_type(HandshakeType.SERVER_HELLO,
+                                                  _set_extension(ExtensionType.KEY_SHARE, None))},
+            "client", NegotiationMismatch),
+        # the client reads a client-authentication request
+        "certificate-request-without-x509-identity": (
+            Mode.X509, {"x509_identity": None}, dict(mutual, client_auth_mode="x509"),
+            "client", NegotiationMismatch),
+        "certificate-request-without-client-suite": (
+            Mode.X509, {}, dict(mutual, client_auth_mode="x509", tamper=_replace_with(
+                HandshakeType.CERTIFICATE_REQUEST, CertificateRequest(b"", ExtensionBlock((
+                    (int(ExtensionType.SIGNATURE_ALGORITHMS),
+                     encode_signature_algorithms(ecdsa_only)),))))),
+            "client", NegotiationMismatch),
+        "ssi-request-mode-0": (
+            Mode.VC, {}, ssi_request(SsiParameters(AuthnMode.UNSPECIFIED, ())),
+            "client", NegotiationMismatch),
+        "ssi-request-switched-mode": (
+            Mode.VC, {}, ssi_request(SsiParameters(AuthnMode.DID, (method,))),
+            "client", NegotiationMismatch),
+        "ssi-request-unoffered-method": (
+            Mode.VC, {}, ssi_request(SsiParameters(AuthnMode.VC, (method, 0))),
+            "client", NegotiationMismatch),
+        "ssi-request-without-client-method": (
+            Mode.VC, {"supported_methods": (0, method)},
+            ssi_request(SsiParameters(AuthnMode.VC, (0,))),
+            "client", NegotiationMismatch),
+        "ssi-request-without-client-suite": (
+            Mode.VC, {}, ssi_request(SsiParameters(AuthnMode.VC, (method,)), ecdsa_only),
+            "client", NegotiationMismatch),
+        # the client reads the server's identity
+        "vc-subject-unnegotiated-method": (
+            Mode.VC, {}, {"ssi_identity": dataclasses.replace(u.server_ssi, vc=issue_credential(
+                u.issuer_keys, u.issuer_did, foreign, {"role": "server"}))},
+            "client", NegotiationMismatch),
+        "did-unparseable": (
+            Mode.DID, {}, {"tamper": _replace_with(HandshakeType.DID,
+                                                   DidMessage(method, b"not a did"))},
+            "client", BadIdentity),
+        "did-method-byte-disagrees": (
+            Mode.DID, {}, {"tamper": _replace_with(HandshakeType.DID,
+                                                   DidMessage(method, foreign.text.encode()))},
+            "client", BadIdentity),
+        "vc-malformed": (
+            Mode.VC, {}, {"tamper": _replace_with(HandshakeType.VC, VcMessage(b'{"id": "x"}'))},
+            "client", BadIdentity),
+    }
+
+
+_ALERT_OF = {
+    NegotiationMismatch: AlertDescription.HANDSHAKE_FAILURE,
+    IllegalParameter: AlertDescription.ILLEGAL_PARAMETER,
+    BadIdentity: AlertDescription.BAD_CERTIFICATE,
+}
+
+NEGATIVE_CASES = [
+    "client-hello-no-common-suite", "client-hello-no-key-share",
+    "client-hello-no-x25519-share", "server-hello-unoffered-suite",
+    "server-hello-unoffered-group", "server-hello-no-key-share",
+    "certificate-request-without-x509-identity",
+    "certificate-request-without-client-suite", "ssi-request-mode-0",
+    "ssi-request-switched-mode", "ssi-request-unoffered-method",
+    "ssi-request-without-client-method", "ssi-request-without-client-suite",
+    "vc-subject-unnegotiated-method", "did-unparseable", "did-method-byte-disagrees",
+    "vc-malformed",
+]
+
+
+@pytest.mark.parametrize("case", NEGATIVE_CASES)
+def test_a_negotiation_check_ends_both_sides(ed_universe, case):
+    """The side that reads the bad field raises its typed error and sends
+    its alert; the other side ends with that alert."""
+    u = ed_universe
+    mode, client_kw, server_kw, side, error = _negative_cases(u)[case]
+    client, server = pair_results(u.client_config(mode, **client_kw),
+                                  u.server_config(**server_kw))
+    detector, peer = (client, server) if side == "client" else (server, client)
+    assert type(detector) is error, detector
+    assert detector.alert == _ALERT_OF[error]
+    assert isinstance(peer, PeerAlert), peer
+    assert peer.description == _ALERT_OF[error]
+
+
+def _config_error_cases(u):
+    """Case -> (client overrides, server overrides, the side whose
+    `validate` rejects its config): one row per ConfigError."""
+    return {
+        "client-ssi-mode-without-identity": ({"ssi_identity": None}, {}, "client"),
+        "client-own-method-unsupported": ({"supported_methods": (0,)}, {}, "client"),
+        "client-ssi-mode-without-ledger": ({"ledger": None}, {}, "client"),
+        "client-vc-mode-without-credential": (
+            {"ssi_identity": dataclasses.replace(u.client_ssi, vc=None)}, {}, "client"),
+        "client-credential-for-another-did": (
+            {"ssi_identity": dataclasses.replace(u.client_ssi, vc=u.server_ssi.vc)}, {}, "client"),
+        "server-without-identity": ({}, {"x509_identity": None, "ssi_identity": None}, "server"),
+        "server-ssi-client-auth-without-ledger": (
+            {}, {"request_client_auth": True, "ledger": None}, "server"),
+        "server-unknown-client-auth-mode": (
+            {}, {"request_client_auth": True, "client_auth_mode": "X509", "ledger": None},
+            "server"),
+    }
+
+
+CONFIG_ERROR_CASES = [
+    "client-ssi-mode-without-identity", "client-own-method-unsupported",
+    "client-ssi-mode-without-ledger", "client-vc-mode-without-credential",
+    "client-credential-for-another-did", "server-without-identity",
+    "server-ssi-client-auth-without-ledger", "server-unknown-client-auth-mode",
+]
+
+
+@pytest.mark.parametrize("case", CONFIG_ERROR_CASES)
+def test_a_config_error_ends_both_sides(ed_universe, case):
+    """`validate` rejects a bad setting before the first message is read,
+    and the peer gets internal_error at once."""
+    u = ed_universe
+    client_kw, server_kw, side = _config_error_cases(u)[case]
+    client, server = pair_results(u.client_config(Mode.VC, **client_kw),
+                                  u.server_config(**server_kw))
+    detector, peer = (client, server) if side == "client" else (server, client)
+    assert type(detector) is ConfigError, detector
+    assert isinstance(peer, PeerAlert), peer
+    assert peer.description == AlertDescription.INTERNAL_ERROR
 
 
 def test_server_reports_a_peer_that_resets_mid_handshake(ed_universe):
