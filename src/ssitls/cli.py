@@ -157,6 +157,9 @@ def _ledger_client(address: str, root_path: Path | str | None,
                    insecure: bool) -> LedgerClient:
     """A client of the ledger node at HOST:PORT `address`, which it
     authenticates by the root certificate in `root_path` (PEM)."""
+    if root_path and insecure:
+        raise CliError("a ledger root and an insecure plaintext ledger channel"
+                       " exclude each other")
     root = load_pem_chain(Path(root_path))[0] if root_path else None
     return LedgerClient(*_host_port(address), trust_anchor=root,
                         insecure_plaintext=insecure)
@@ -418,6 +421,8 @@ def cmd_identity(args) -> int:
 
 def cmd_ledger(args) -> int:
     if args.ledger_cmd == "serve":
+        if args.insecure_plaintext and (args.cert or args.key):
+            raise CliError("--insecure-plaintext serves no --cert or --key")
         store = LedgerStore(args.store)
         x509_identity = None
         if not args.insecure_plaintext:

@@ -1,12 +1,8 @@
 """Cryptographic primitives and the TLS 1.3 key schedule.
 
-Three signature suites are supported end to end, each known under both its
-IETF signature-scheme name and the W3C proof-type name used inside DID
-documents and credential proofs:
-
-    ecdsa_secp256r1_sha256  <->  EcdsaSecp256r1Signature2023
-    rsa_pss_rsae_sha256     <->  RsaSignature2023
-    ed25519                 <->  Ed25519Signature2023
+Three signature suites are supported end to end, each a `SignatureSuite`
+row that names it under both its IETF signature-scheme name and the W3C
+proof-type name used inside DID documents and credential proofs.
 
 Key exchange is x25519; the mandatory record suite is TLS_AES_256_GCM_SHA384.
 """
@@ -44,82 +40,48 @@ class ContributoryBehaviourError(CryptoError):
 # ---------------------------------------------------------------------------
 
 class SignatureSuite(enum.Enum):
-    ECDSA_SECP256R1_SHA256 = "ecdsa_secp256r1_sha256"
-    RSA_PSS_RSAE_SHA256 = "rsa_pss_rsae_sha256"
-    ED25519 = "ed25519"
+    """One signature suite per row: its IETF signature-scheme name (the
+    value), its W3C proof type, its TLS SignatureScheme code point, and the
+    budgeted sizes of one public key and one signature object in byte
+    accounting. ECDSA signatures are DER encoded and vary in length (<= 72
+    bytes); the 70-byte figure is the accounting average, not a wire width."""
 
-    @property
-    def ietf_name(self) -> str:
-        return self.value
+    ECDSA_SECP256R1_SHA256 = ("ecdsa_secp256r1_sha256", "EcdsaSecp256r1Signature2023",
+                              0x0403, 33, 70)
+    RSA_PSS_RSAE_SHA256 = ("rsa_pss_rsae_sha256", "RsaSignature2023", 0x0804, 272, 256)
+    ED25519 = ("ed25519", "Ed25519Signature2023", 0x0807, 32, 64)
 
-    @property
-    def w3c_name(self) -> str:
-        return _W3C_NAMES[self]
-
-    @property
-    def scheme_code(self) -> int:
-        """TLS SignatureScheme code point."""
-        return _SCHEME_CODES[self]
-
-    @property
-    def nominal_public_key_len(self) -> int:
-        """Budgeted size of one public key object in byte accounting."""
-        return _NOMINAL_PK[self]
-
-    @property
-    def nominal_signature_len(self) -> int:
-        """Budgeted size of one signature object in byte accounting.
-
-        ECDSA signatures are DER encoded and vary in length (<= 72 bytes);
-        the 70-byte figure is the accounting average, not a wire width.
-        """
-        return _NOMINAL_SIG[self]
+    def __new__(cls, ietf_name: str, w3c_name: str, scheme_code: int,
+                nominal_public_key_len: int, nominal_signature_len: int):
+        suite = object.__new__(cls)
+        suite._value_ = suite.ietf_name = ietf_name
+        suite.w3c_name = w3c_name
+        suite.scheme_code = scheme_code
+        suite.nominal_public_key_len = nominal_public_key_len
+        suite.nominal_signature_len = nominal_signature_len
+        return suite
 
     @classmethod
     def from_scheme_code(cls, code: int) -> "SignatureSuite":
-        for suite, c in _SCHEME_CODES.items():
-            if c == code:
+        for suite in cls:
+            if suite.scheme_code == code:
                 return suite
         raise CryptoError(f"unknown signature scheme code 0x{code:04x}")
 
     @classmethod
     def from_w3c_name(cls, name: str) -> "SignatureSuite":
-        for suite, n in _W3C_NAMES.items():
-            if n == name:
+        for suite in cls:
+            if suite.w3c_name == name:
                 return suite
         raise CryptoError(f"unknown proof type {name!r}")
 
     @classmethod
     def from_ietf_name(cls, name: str) -> "SignatureSuite":
         for suite in cls:
-            if suite.value == name:
+            if suite.ietf_name == name:
                 return suite
         raise CryptoError(f"unknown signature suite {name!r}")
 
-
-_W3C_NAMES = {
-    SignatureSuite.ECDSA_SECP256R1_SHA256: "EcdsaSecp256r1Signature2023",
-    SignatureSuite.RSA_PSS_RSAE_SHA256: "RsaSignature2023",
-    SignatureSuite.ED25519: "Ed25519Signature2023",
-}
-
-_SCHEME_CODES = {
-    SignatureSuite.ECDSA_SECP256R1_SHA256: 0x0403,
-    SignatureSuite.RSA_PSS_RSAE_SHA256: 0x0804,
-    SignatureSuite.ED25519: 0x0807,
-}
-
-_NOMINAL_PK = {
-    SignatureSuite.ECDSA_SECP256R1_SHA256: 33,
-    SignatureSuite.RSA_PSS_RSAE_SHA256: 272,
-    SignatureSuite.ED25519: 32,
-}
-
-_NOMINAL_SIG = {
-    SignatureSuite.ECDSA_SECP256R1_SHA256: 70,
-    SignatureSuite.RSA_PSS_RSAE_SHA256: 256,
-    SignatureSuite.ED25519: 64,
-}
 
 _P256_ORDER = 0xFFFFFFFF00000000FFFFFFFFFFFFFFFFBCE6FAADA7179E84F3B9CAC2FC632551
 
@@ -268,10 +230,6 @@ def load_secret_key(suite: SignatureSuite, data: bytes):
     return key
 
 
-_PSS_PADDING = padding.PSS(mgf=padding.MGF1(hashes.SHA256()),
-                           salt_length=hashes.SHA256.digest_size)
-
-
 # Decoded signing keys kept per process; one entry per (suite, PKCS8 bytes),
 # the least recently used dropped first.
 SECRET_KEY_CACHE_SIZE = 256
@@ -305,14 +263,23 @@ def signing_key(suite: SignatureSuite, data: bytes):
     return key
 
 
+# Each suite's signature algorithm: the arguments after the content that its
+# key objects' sign and verify take. Kept off SignatureSuite, which configs
+# pickle, since these are `cryptography` objects.
+_SIGNATURE_ARGS = {
+    # deterministic nonces (RFC 6979): reproducible and misuse-resistant;
+    # verification accepts any nonce
+    SignatureSuite.ECDSA_SECP256R1_SHA256: (
+        ec.ECDSA(hashes.SHA256(), deterministic_signing=True),),
+    SignatureSuite.RSA_PSS_RSAE_SHA256: (
+        padding.PSS(mgf=padding.MGF1(hashes.SHA256()), salt_length=hashes.SHA256.digest_size),
+        hashes.SHA256()),
+    SignatureSuite.ED25519: (),
+}
+
+
 def sign(suite: SignatureSuite, secret_key: bytes, content: bytes) -> bytes:
-    key = signing_key(suite, secret_key)
-    if suite is SignatureSuite.ED25519:
-        return key.sign(content)
-    if suite is SignatureSuite.ECDSA_SECP256R1_SHA256:
-        # deterministic nonces (RFC 6979): reproducible and misuse-resistant
-        return key.sign(content, ec.ECDSA(hashes.SHA256(), deterministic_signing=True))
-    return key.sign(content, _PSS_PADDING, hashes.SHA256())
+    return signing_key(suite, secret_key).sign(content, *_SIGNATURE_ARGS[suite])
 
 
 def verify(suite: SignatureSuite, public_key: bytes, content: bytes,
@@ -321,17 +288,10 @@ def verify(suite: SignatureSuite, public_key: bytes, content: bytes,
     rather than verifying as False."""
     key = load_public_key(suite, public_key)
     try:
-        if suite is SignatureSuite.ED25519:
-            key.verify(signature, content)
-        elif suite is SignatureSuite.ECDSA_SECP256R1_SHA256:
-            key.verify(signature, content, ec.ECDSA(hashes.SHA256()))
-        else:
-            key.verify(signature, content, _PSS_PADDING, hashes.SHA256())
+        key.verify(signature, content, *_SIGNATURE_ARGS[suite])
         return True
-    except InvalidSignature:
-        return False
-    except ValueError:
-        # e.g. garbage DER in an ECDSA signature
+    except (InvalidSignature, ValueError):
+        # ValueError: e.g. garbage DER in an ECDSA signature
         return False
 
 
@@ -377,28 +337,20 @@ def ecdhe_exchange(local: X25519KeyPair, peer_public: bytes) -> bytes:
 # ---------------------------------------------------------------------------
 
 class CipherSuite(enum.Enum):
-    TLS_AES_256_GCM_SHA384 = 0x1302
-    TLS_AES_128_GCM_SHA256 = 0x1301
+    """One record suite per row: its code point (the value), its hash, and
+    the hash, AEAD key and IV lengths (RFC 8446 sections B.4 and 5.3)."""
 
-    @property
-    def code(self) -> int:
-        return self.value
+    TLS_AES_256_GCM_SHA384 = (0x1302, "sha384", 48, 32, 12)
+    TLS_AES_128_GCM_SHA256 = (0x1301, "sha256", 32, 16, 12)
 
-    @property
-    def hash_name(self) -> str:
-        return "sha384" if self is CipherSuite.TLS_AES_256_GCM_SHA384 else "sha256"
-
-    @property
-    def hash_len(self) -> int:
-        return 48 if self is CipherSuite.TLS_AES_256_GCM_SHA384 else 32
-
-    @property
-    def key_len(self) -> int:
-        return 32 if self is CipherSuite.TLS_AES_256_GCM_SHA384 else 16
-
-    @property
-    def iv_len(self) -> int:
-        return 12
+    def __new__(cls, code: int, hash_name: str, hash_len: int, key_len: int, iv_len: int):
+        cipher = object.__new__(cls)
+        cipher._value_ = cipher.code = code
+        cipher.hash_name = hash_name
+        cipher.hash_len = hash_len
+        cipher.key_len = key_len
+        cipher.iv_len = iv_len
+        return cipher
 
     def hash(self, data: bytes = b"") -> "hashlib._Hash":
         return hashlib.new(self.hash_name, data)

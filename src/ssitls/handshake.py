@@ -120,6 +120,12 @@ class ProtocolVersion(NegotiationMismatch):
     alert = AlertDescription.PROTOCOL_VERSION
 
 
+class MissingExtension(NegotiationMismatch):
+    """A hello or CertificateRequest lacks an extension RFC 8446 requires
+    there (§4.2, §4.3.2, §9.2)."""
+    alert = AlertDescription.MISSING_EXTENSION
+
+
 class BadIdentity(HandshakeAbort):
     kind = "bad_identity"
     alert = AlertDescription.BAD_CERTIFICATE
@@ -631,11 +637,12 @@ class _Client(_Endpoint):
             raise NegotiationMismatch("server requires X.509 client"
                                       " authentication we cannot provide")
         algs = msg.extensions.get(ExtensionType.SIGNATURE_ALGORITHMS)
-        if algs is not None:
-            offered = decode_signature_algorithms(algs)
-            if self.config.x509_identity.keys.suite.scheme_code not in offered:
-                raise NegotiationMismatch("our certificate suite is not"
-                                          " acceptable to the server")
+        if algs is None:
+            raise MissingExtension("CertificateRequest carries no signature_algorithms")
+        offered = decode_signature_algorithms(algs)
+        if self.config.x509_identity.keys.suite.scheme_code not in offered:
+            raise NegotiationMismatch("our certificate suite is not"
+                                      " acceptable to the server")
 
     def _check_ssi_request(self, msg: SsiRequest, sent: SsiParameters) -> str:
         """Check the server's SSIRequest; returns the identity kind it asks for."""
@@ -677,6 +684,9 @@ class _Server(_Endpoint):
         versions = hello.extensions.get(ExtensionType.SUPPORTED_VERSIONS)
         if versions is None or TLS_1_3 not in decode_supported_versions(versions):
             raise ProtocolVersion("client offers no TLS 1.3")
+        for required in (ExtensionType.SUPPORTED_GROUPS, ExtensionType.SIGNATURE_ALGORITHMS):
+            if not hello.extensions.has(required):
+                raise MissingExtension(f"ClientHello carries no {required.name.lower()}")
         if config.cipher_suite.code not in hello.cipher_suites:
             raise NegotiationMismatch("no common cipher suite")
         share_raw = hello.extensions.get(ExtensionType.KEY_SHARE)

@@ -19,7 +19,7 @@ from . import handshake
 from .certs import X509Identity, make_chain
 from .crypto import KeyPair, SignatureSuite, generate_keypair
 from .identity import Did, TrustStore, VerifiableCredential, derive_did, new_did_document
-from .ledger import LedgerClient, server_frames, socket_frames
+from .ledger import LedgerClient, LedgerRecord, server_frames, socket_frames
 
 logger = logging.getLogger(__name__)
 
@@ -32,27 +32,24 @@ def forge_document(victim_did: Did, attacker_keys: KeyPair) -> dict:
 class ResolutionInterceptor(handshake.TcpServer):
     """TCP interposer on the resolver -> ledger-node path.
 
-    In plaintext mode, frames are relayed with document payloads rewritten
-    to `forged_document`. In authenticated mode the interceptor terminates
-    TLS itself using `attacker_x509` (it cannot read or alter the genuine
-    protected channel) and serves the forged document directly.
+    In plaintext mode (no `attacker_x509`), frames are relayed with document
+    payloads rewritten to `forged_document`. In authenticated mode the
+    interceptor terminates TLS itself using `attacker_x509` (it cannot read
+    or alter the genuine protected channel) and serves the forged document
+    directly.
     """
 
     def __init__(self, upstream: tuple[str, int], forged_document: dict,
-                 plaintext: bool, attacker_x509: X509Identity | None = None,
+                 attacker_x509: X509Identity | None = None,
                  host: str = "127.0.0.1", port: int = 0):
-        if not plaintext and attacker_x509 is None:
-            raise ValueError("impersonating the node over TLS needs a certificate")
         super().__init__(host, port, conn_timeout=10.0)
         self.upstream = upstream
         self.forged_document = forged_document
-        self.plaintext = plaintext
         self.attacker_x509 = attacker_x509
-        self.rewrites = 0
 
     def serve_one(self, conn: socket.socket) -> None:
         try:
-            if self.plaintext:
+            if self.attacker_x509 is None:
                 with socket.create_connection(self.upstream, timeout=10.0) as upstream:
                     node = socket_frames(upstream)
                     socket_frames(conn).serve(
@@ -70,7 +67,6 @@ class ResolutionInterceptor(handshake.TcpServer):
             if "document" in payload:
                 payload = dict(payload, document=self.forged_document)
                 response = dict(response, record=dict(record, payload=payload))
-                self.rewrites += 1
         return response
 
     def _forged_response(self, request: dict) -> dict:
@@ -78,9 +74,8 @@ class ResolutionInterceptor(handshake.TcpServer):
         a rejection for anything else."""
         if request.get("op") != "get":
             return {"ok": False, "error": "rejected"}
-        return {"ok": True, "record": {
-            "id": request.get("id", ""), "seq": 0,
-            "payload": {"document": self.forged_document}, "sig": ""}}
+        record = LedgerRecord.document_record(request.get("id", ""), 0, self.forged_document)
+        return {"ok": True, "record": record.to_json_dict()}
 
 
 @dataclass
@@ -121,9 +116,7 @@ def mitm_resolution_attack(attacker_keys: KeyPair, victim_did: Did,
                                           "attacker ledger node")
 
     forged = forge_document(victim_did, attacker_keys)
-    with ResolutionInterceptor(node_address, forged,
-                               plaintext=plaintext_resolution,
-                               attacker_x509=attacker_x509) as interceptor:
+    with ResolutionInterceptor(node_address, forged, attacker_x509) as interceptor:
         resolver = LedgerClient(*interceptor.address,
                                 trust_anchor=None if plaintext_resolution else node_root,
                                 insecure_plaintext=plaintext_resolution)

@@ -32,6 +32,7 @@ class AlertDescription(enum.IntEnum):
     DECRYPT_ERROR = 51
     PROTOCOL_VERSION = 70
     INTERNAL_ERROR = 80
+    MISSING_EXTENSION = 109
 
 
 class HandshakeAbort(Exception):

@@ -195,6 +195,41 @@ def test_a_refused_connect_exits_transport():
     assert "connection failed" in result.stderr
 
 
+@pytest.fixture()
+def root_pem(tmp_path):
+    from ssitls.cli import save_pem_chain
+    _identity, root = make_chain(SignatureSuite.ED25519, "ledger.node")
+    save_pem_chain(tmp_path / "root.pem", [root])
+    return tmp_path / "root.pem"
+
+
+@pytest.mark.parametrize("surface", ["config", "flags"])
+def test_a_ledger_channel_both_trusted_and_plaintext_exits_10(root_pem, surface):
+    """A node root and `insecure` exclude each other: the channel would run
+    in plaintext and silently ignore the root."""
+    if surface == "config":
+        conf = root_pem.parent / "client.conf"
+        conf.write_text(f"ledger = 127.0.0.1:1\nledger_root = {root_pem}\n"
+                        "ledger_insecure = true\n")
+        result = cli("client", "--config", str(conf), "--connect", "127.0.0.1:1", timeout=30)
+    else:
+        result = cli("identity", "did-create", "--ledger", "127.0.0.1:1",
+                     "--ledger-root", str(root_pem), "--ledger-insecure",
+                     "--out-key", str(root_pem.parent / "key.pem"),
+                     "--out-did", str(root_pem.parent / "did.txt"), timeout=30)
+    assert result.returncode == EXIT_CODES["config"], result.stderr
+    assert "exclude each other" in result.stderr
+
+
+def test_a_plaintext_ledger_node_refuses_a_chain_before_serving(root_pem):
+    result = cli("ledger", "serve", "--store", str(root_pem.parent / "ledger.log"),
+                 "--cert", str(root_pem), "--key", str(root_pem.parent / "key.pem"),
+                 "--insecure-plaintext", timeout=30)
+    assert result.returncode == EXIT_CODES["config"], result.stderr
+    assert "ledger node on" not in result.stdout
+    assert not (root_pem.parent / "ledger.log").exists()
+
+
 def test_a_key_on_an_unnamed_curve_is_a_config_error(tmp_path):
     from cryptography.hazmat.primitives import serialization
     from cryptography.hazmat.primitives.asymmetric import ec

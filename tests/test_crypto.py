@@ -8,13 +8,15 @@ import sys
 import threading
 
 import pytest
-from cryptography.hazmat.primitives import serialization
-from cryptography.hazmat.primitives.asymmetric import ec, ed25519, rsa
+from cryptography.hazmat.primitives import hashes, serialization
+from cryptography.hazmat.primitives.asymmetric import ec, ed25519, padding, rsa
+from cryptography.hazmat.primitives.asymmetric.utils import decode_dss_signature
 
 from ssitls import crypto
 from ssitls.crypto import (
     CipherSuite,
     ContributoryBehaviourError,
+    CryptoError,
     DeterministicRng,
     KeyDecodeError,
     KeySchedule,
@@ -55,6 +57,31 @@ def test_exactly_three_suites_with_name_bindings():
         assert SignatureSuite.from_ietf_name(ietf) is suite
         assert SignatureSuite.from_w3c_name(w3c) is suite
         assert SignatureSuite.from_scheme_code(suite.scheme_code) is suite
+
+
+@pytest.mark.parametrize("lookup,key,message", [
+    (SignatureSuite.from_scheme_code, 0x0401, "unknown signature scheme code 0x0401"),
+    (SignatureSuite.from_w3c_name, "RsaSignature2018", "unknown proof type 'RsaSignature2018'"),
+    (SignatureSuite.from_ietf_name, "rsa_pkcs1_sha256",
+     "unknown signature suite 'rsa_pkcs1_sha256'"),
+])
+def test_an_unknown_scheme_code_proof_type_or_name_raises(lookup, key, message):
+    with pytest.raises(CryptoError) as info:
+        lookup(key)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("cipher,row", [
+    (CipherSuite.TLS_AES_128_GCM_SHA256, (0x1301, "sha256", 32, 16, 12)),
+    (CipherSuite.TLS_AES_256_GCM_SHA384, (0x1302, "sha384", 48, 32, 12)),
+])
+def test_cipher_suite_rows_match_rfc8446(cipher, row):
+    """Code point and hash from RFC 8446 section B.4; key length from the
+    AEAD; a 12-byte IV from section 5.3. The value stays the code point."""
+    assert (cipher.code, cipher.hash_name, cipher.hash_len, cipher.key_len,
+            cipher.iv_len) == row
+    assert CipherSuite(cipher.code) is cipher
+    assert len(cipher.transcript_hash(b"")) == cipher.hash_len
 
 
 @pytest.mark.parametrize("suite,expected_max", [
@@ -187,6 +214,38 @@ def test_ecdsa_deterministic_nonces():
             == sign(keys.suite, keys.secret_key, b"same message"))
 
 
+def _pkcs8(key) -> bytes:
+    return key.private_bytes(serialization.Encoding.DER, serialization.PrivateFormat.PKCS8,
+                             serialization.NoEncryption())
+
+
+def test_ecdsa_reproduces_the_rfc6979_p256_sha256_vector():
+    """RFC 6979 section A.2.5, message "sample"."""
+    key = ec.derive_private_key(
+        0xC9AFA9D845BA75166B5C215767B1D6934E50C3DB36E89B127B8A622B120F6721, ec.SECP256R1())
+    sig = sign(SignatureSuite.ECDSA_SECP256R1_SHA256, _pkcs8(key), b"sample")
+    assert decode_dss_signature(sig) == (
+        0xEFD48B2AACB6A8FD1140DD9CD45E81D69D2C877B56AAF991C34D0EA84EAF3716,
+        0xF7CB1C942D657C41D436C7A1B6E29F65F3E900DBB9AFF4064DC4AB2F843ACDA8)
+
+
+def test_ecdsa_verify_accepts_a_randomized_nonce():
+    suite = SignatureSuite.ECDSA_SECP256R1_SHA256
+    key = ec.generate_private_key(ec.SECP256R1())
+    public = crypto.encode_public_key(suite, key.public_key())
+    sig = key.sign(b"content", ec.ECDSA(hashes.SHA256()))
+    assert verify(suite, public, b"content", sig)
+
+
+def test_rsa_signs_pss_with_sha256_and_a_32_byte_salt():
+    """RFC 8446 section 4.2.3: the PSS salt is as long as the digest."""
+    keys = generate_keypair(SignatureSuite.RSA_PSS_RSAE_SHA256)
+    sig = sign(keys.suite, keys.secret_key, b"content")
+    serialization.load_der_public_key(keys.public_key).verify(
+        sig, b"content", padding.PSS(mgf=padding.MGF1(hashes.SHA256()), salt_length=32),
+        hashes.SHA256())
+
+
 # ---------------------------------------------------------------------------
 # Decoded signing keys: none for a key generated here, one for any other
 # ---------------------------------------------------------------------------
@@ -222,8 +281,7 @@ def _foreign_pkcs8(suite: SignatureSuite) -> bytes:
         key = ec.generate_private_key(ec.SECP256R1())
     else:
         key = rsa.generate_private_key(public_exponent=65537, key_size=2048)
-    return key.private_bytes(serialization.Encoding.DER, serialization.PrivateFormat.PKCS8,
-                             serialization.NoEncryption())
+    return _pkcs8(key)
 
 
 @pytest.mark.parametrize("suite", list(SignatureSuite))

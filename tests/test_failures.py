@@ -30,6 +30,7 @@ from ssitls.handshake import (
     HandshakeStalled,
     handshake_pair,
     IllegalParameter,
+    MissingExtension,
     Mode,
     NegotiationMismatch,
     ProtocolVersion,
@@ -68,6 +69,7 @@ EXPECTED_ALERTS = {
     NegotiationMismatch: A.HANDSHAKE_FAILURE,
     IllegalParameter: A.ILLEGAL_PARAMETER,
     ProtocolVersion: A.PROTOCOL_VERSION,
+    MissingExtension: A.MISSING_EXTENSION,
     BadIdentity: A.BAD_CERTIFICATE,
     RevokedIdentity: A.CERTIFICATE_REVOKED,
     BadSignature: A.DECRYPT_ERROR,
@@ -115,6 +117,7 @@ def test_every_abort_survives_pickling(cls):
     (BadIdentity("who"), 3),
     (HandshakeAbort("stalled"), 13),
     (BadKeyShare("low order"), 1),
+    (MissingExtension("no signature_algorithms"), 2),
 ])
 def test_cli_exit_code_follows_the_failure_kind(exc, code):
     assert cli._abort_exit(exc) == code

@@ -34,6 +34,7 @@ from ssitls.handshake import (
     Flow,
     HandshakeAbort,
     IllegalParameter,
+    MissingExtension,
     Mode,
     NegotiationMismatch,
     ProtocolVersion,
@@ -708,6 +709,15 @@ def _negative_cases(u):
             Mode.X509, {"tamper": tamper_type(HandshakeType.CLIENT_HELLO, _set_extension(
                 ExtensionType.KEY_SHARE, encode_key_share_client([p256_share])))},
             {}, "server", NegotiationMismatch),
+        # RFC 8446 section 9.2: a ClientHello must carry both
+        "client-hello-no-supported-groups": (
+            Mode.X509, {"tamper": tamper_type(HandshakeType.CLIENT_HELLO, _set_extension(
+                ExtensionType.SUPPORTED_GROUPS, None))},
+            {}, "server", MissingExtension),
+        "client-hello-no-signature-algorithms": (
+            Mode.X509, {"tamper": tamper_type(HandshakeType.CLIENT_HELLO, _set_extension(
+                ExtensionType.SIGNATURE_ALGORITHMS, None))},
+            {}, "server", MissingExtension),
         # the client reads the ServerHello (RFC 8446 sections 4.1.3 and 4.2.8)
         "server-hello-unoffered-suite": (
             Mode.X509, {}, {"tamper": tamper_type(HandshakeType.SERVER_HELLO, lambda raw: encode(
@@ -732,6 +742,11 @@ def _negative_cases(u):
                     (int(ExtensionType.SIGNATURE_ALGORITHMS),
                      encode_signature_algorithms(ecdsa_only)),))))),
             "client", NegotiationMismatch),
+        # RFC 8446 section 4.3.2: signature_algorithms must be present
+        "certificate-request-no-signature-algorithms": (
+            Mode.X509, {}, dict(mutual, client_auth_mode="x509", tamper=_replace_with(
+                HandshakeType.CERTIFICATE_REQUEST, CertificateRequest(b"", ExtensionBlock(())))),
+            "client", MissingExtension),
         "ssi-request-mode-0": (
             Mode.VC, {}, ssi_request(SsiParameters(AuthnMode.UNSPECIFIED, ())),
             "client", NegotiationMismatch),
@@ -770,15 +785,18 @@ def _negative_cases(u):
 _ALERT_OF = {
     NegotiationMismatch: AlertDescription.HANDSHAKE_FAILURE,
     IllegalParameter: AlertDescription.ILLEGAL_PARAMETER,
+    MissingExtension: AlertDescription.MISSING_EXTENSION,
     BadIdentity: AlertDescription.BAD_CERTIFICATE,
 }
 
 NEGATIVE_CASES = [
     "client-hello-no-common-suite", "client-hello-no-key-share",
-    "client-hello-no-x25519-share", "server-hello-unoffered-suite",
+    "client-hello-no-x25519-share", "client-hello-no-supported-groups",
+    "client-hello-no-signature-algorithms", "server-hello-unoffered-suite",
     "server-hello-unoffered-group", "server-hello-no-key-share",
     "certificate-request-without-x509-identity",
-    "certificate-request-without-client-suite", "ssi-request-mode-0",
+    "certificate-request-without-client-suite",
+    "certificate-request-no-signature-algorithms", "ssi-request-mode-0",
     "ssi-request-switched-mode", "ssi-request-unoffered-method",
     "ssi-request-without-client-method", "ssi-request-without-client-suite",
     "vc-subject-unnegotiated-method", "did-unparseable", "did-method-byte-disagrees",
@@ -1047,7 +1065,7 @@ def _ledger_acceptor(u, _stack):
 def _interceptor_acceptor(u, stack):
     node = stack.enter_context(LedgerNode(u.store, insecure_plaintext=True))
     forged = {"forged": True}
-    interceptor = ResolutionInterceptor(node.address, forged, plaintext=True)
+    interceptor = ResolutionInterceptor(node.address, forged)
     resolver = LedgerClient(*interceptor.address, insecure_plaintext=True)
     msid = u.server_ssi.did.method_specific_id
 

@@ -70,7 +70,7 @@ def test_a_resolver_trusting_the_attackers_root_gets_the_forged_document(setup):
     victim = u.server_ssi.did
     with LedgerNode(store, node_identity) as node, \
             ResolutionInterceptor(node.address, forge_document(victim, attacker),
-                                  plaintext=False, attacker_x509=attacker_x509) as interceptor:
+                                  attacker_x509=attacker_x509) as interceptor:
         resolver = LedgerClient(*interceptor.address, trust_anchor=attacker_root)
         document = did_resolve(resolver, victim)
         assert document.id == victim
